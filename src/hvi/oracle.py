@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import special
 from .models import (AuxiliaryInference, ExplicitPrior, Generative, HierarchicalModel,
                      UnsupportedModelError, make_discrete_hvm, make_discrete_tau)
 from .rng import RngStream
@@ -399,6 +400,31 @@ def finite_diff(f, x, step: float = 1e-5) -> np.ndarray:
         xm = xf.copy(); xm[i] -= step
         flat[i] = (f(xp.reshape(x.shape)) - f(xm.reshape(x.shape))) / (2.0 * step)
     return out
+
+
+def gamma_ppf_unit(a, u):
+    """Quantile of Gamma(a, rate=1): solves P(a, x) = u by safeguarded Newton."""
+    a, u = np.broadcast_arrays(np.asarray(a, dtype=np.float64), np.asarray(u, dtype=np.float64))
+    if np.any((u <= 0.0) | (u >= 1.0)):
+        raise ValueError("gamma_ppf_unit requires u in (0, 1)")
+    x = np.array(a, dtype=np.float64, copy=True)
+    lo = np.zeros_like(x)
+    hi = np.full_like(x, np.inf)
+    for _ in range(200):
+        f = special.gammainc_p(a, x) - u
+        lo = np.where(f < 0, np.maximum(lo, x), lo)
+        hi = np.where(f > 0, np.minimum(hi, x), hi)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            # Newton step f / pdf(x), the unit-rate density written out.
+            step = f * np.exp(x - (a - 1.0) * np.log(x) + special.lgamma(a))
+        xn = x - step
+        bad = ~np.isfinite(xn) | (xn <= lo) | (xn >= hi)
+        mid = np.where(np.isfinite(hi), 0.5 * (lo + hi), x * 2.0)
+        xn = np.where(bad, mid, xn)
+        if np.all(np.abs(xn - x) <= 1e-13 * np.maximum(np.abs(x), 1e-300)):
+            return xn
+        x = xn
+    return x
 
 
 def gaussian_kl_diag(m0, s0, m1, s1) -> float:

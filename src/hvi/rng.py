@@ -7,8 +7,10 @@ runs are reproducible:
 * ``exponential``  -- 1 uniform per element (inverse CDF)
 * ``laplace``      -- 1 uniform per element (inverse CDF)
 * ``categorical``  -- 1 uniform per draw
-* ``gamma``        -- variable (Marsaglia-Tsang rejection); draws advance the
-                      stream by a data-dependent amount, forward only.
+* ``gamma``        -- variable (Marsaglia-Tsang rejection): 3 uniforms (a
+                      normal and an acceptance uniform) per still-pending
+                      element per round, plus 1 per element when any
+                      concentration is below 1; forward only.
 
 Streams are backed by numpy's Philox counter generator; ``split`` derives an
 independent child stream from ``(seed, path)`` so replicate r of a study can
@@ -83,36 +85,49 @@ class RngStream:
     def gamma(self, concentration, rate=1.0, shape=None) -> np.ndarray:
         """Gamma(concentration, rate) via Marsaglia-Tsang squeeze.
 
-        Stream consumption is variable (rejection); forward-only.
+        Elements with concentration a < 1 draw Gamma(a + 1) * U^(1/a); when
+        any element does, U is drawn first, 1 uniform for every element.  Each
+        rejection round then redraws only the elements still pending, at 3
+        uniforms apiece (a Box-Muller normal and an acceptance uniform), so
+        consumption is data-dependent but reproducible.  Non-finite or
+        non-positive parameters raise ValueError.
         """
         conc = np.asarray(concentration, dtype=np.float64)
+        rate = np.asarray(rate, dtype=np.float64)
         if shape is None:
             shape = conc.shape
         conc = np.broadcast_to(conc, shape)
-        if np.any(conc <= 0.0):
-            raise ValueError("gamma requires positive concentration")
-        boost = np.ones(shape)
-        a = np.array(conc, copy=True)
-        small = a < 1.0
-        if np.any(small):
-            # Gamma(a) = Gamma(a+1) * U^(1/a) for a < 1.
-            u = self._open_uniform(shape)
-            boost = np.where(small, u ** (1.0 / np.where(small, a, 1.0)), 1.0)
-            a = np.where(small, a + 1.0, a)
+        if not (np.all(np.isfinite(conc)) and np.all(np.isfinite(rate))):
+            raise ValueError("gamma requires finite concentration and rate")
+        if np.any(conc <= 0.0) or np.any(rate <= 0.0):
+            raise ValueError("gamma requires positive concentration and rate")
+        a = conc.ravel()
         d = a - 1.0 / 3.0
+        small = np.flatnonzero(a < 1.0)
+        if small.size:
+            # Gamma(a) = Gamma(a + 1) * U^(1/a) for a < 1.
+            boost = self._open_uniform((a.size,))[small] ** (1.0 / a[small])
+            d[small] = (a[small] + 1.0) - 1.0 / 3.0
         c = 1.0 / np.sqrt(9.0 * d)
-        out = np.zeros(shape)
-        pending = np.ones(shape, dtype=bool)
-        for _ in range(200):
-            if not np.any(pending):
+        out, ok = self._marsaglia_tsang_round(d, c)
+        pending = np.flatnonzero(~ok)
+        for _ in range(199):                 # rounds 2..200
+            if not pending.size:
                 break
-            x = self.normal(shape)
-            v = (1.0 + c * x) ** 3
-            u = self._open_uniform(shape)
-            ok = (v > 0.0) & (np.log(u) < 0.5 * x * x + d - d * v + d * np.log(np.maximum(v, 1e-300)))
-            take = pending & ok
-            out = np.where(take, d * v, out)
-            pending = pending & ~take
-        else:
+            draw, ok = self._marsaglia_tsang_round(d[pending], c[pending])
+            out[pending[ok]] = draw[ok]
+            pending = pending[~ok]
+        if pending.size:
             raise RuntimeError("gamma sampler failed to accept after 200 rounds")
-        return out * boost / rate
+        if small.size:
+            out[small] *= boost
+        return out.reshape(shape) / rate
+
+    def _marsaglia_tsang_round(self, d, c):
+        """One proposal per element: (d * v, accepted); 3 uniforms per element."""
+        x = self.normal((d.size,))
+        u = self._open_uniform((d.size,))
+        v = (1.0 + c * x) ** 3
+        ok = (v > 0.0) & (np.log(u) < 0.5 * x * x + d - d * v
+                          + d * np.log(np.maximum(v, 1e-300)))
+        return d * v, ok

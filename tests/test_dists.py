@@ -4,7 +4,8 @@ import math
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import integrate, stats
+from scipy import special as sps
 
 from hvi import dists, oracle, special
 from hvi.dists import UnsupportedKindError
@@ -194,16 +195,16 @@ class TestGammaImplicitGrad:
         a, r, s = 1.0, 1.0, 0.9
         u = float(special.gammainc_p(a, r * s))
         h = 1e-5
-        fd = float(special.gamma_ppf_unit(a + h, u) - special.gamma_ppf_unit(a - h, u)) / (2 * h)
+        fd = float(oracle.gamma_ppf_unit(a + h, u) - oracle.gamma_ppf_unit(a - h, u)) / (2 * h)
         dda, _ = dists.gamma_implicit_grad(a, r, s)
         assert float(dda) == pytest.approx(fd, abs=1e-4)
 
     def test_at_gamma_3_2_median(self):
         a, r = 3.0, 2.0
-        s = float(special.gamma_ppf_unit(a, 0.5)) / r
+        s = float(oracle.gamma_ppf_unit(a, 0.5)) / r
         u = 0.5
         h = 1e-5
-        fd = float(special.gamma_ppf_unit(a + h, u) - special.gamma_ppf_unit(a - h, u)) / (2 * h) / r
+        fd = float(oracle.gamma_ppf_unit(a + h, u) - oracle.gamma_ppf_unit(a - h, u)) / (2 * h) / r
         dda, ddr = dists.gamma_implicit_grad(a, r, s)
         assert float(dda) == pytest.approx(fd, rel=1e-3)
         assert float(ddr) == pytest.approx(-s / r, rel=1e-12)
@@ -211,6 +212,44 @@ class TestGammaImplicitGrad:
     def test_preconditions(self):
         with pytest.raises(ValueError):
             dists.gamma_implicit_grad(2.0, 1.0, -1.0)
+
+    @pytest.mark.parametrize("a,r,s", [(math.nan, 1.0, 0.5), (2.0, math.inf, 0.5),
+                                       (2.0, 1.0, math.nan), (math.inf, 1.0, 0.5)])
+    def test_rejects_non_finite(self, a, r, s):
+        with pytest.raises(ValueError, match="finite"):
+            dists.gamma_implicit_grad(np.array([a, 1.0]), r, np.array([s, 0.5]))
+
+    @staticmethod
+    def _reference(a, x):
+        """d(sample)/d(concentration) at rate 1 as -(dP/da) / pdf(x), where
+        dP/da = int_0^x t^(a-1) e^-t log t dt / Gamma(a) - P psi(a), or minus the
+        upper-tail counterpart for x > a + 1, by scipy quadrature.  The integrand
+        is divided by pdf(x) up front so nothing under- or overflows."""
+        lg = sps.gammaln(a)
+        log_pdf = (a - 1.0) * math.log(x) - x - lg
+        quad = dict(epsabs=0.0, epsrel=1e-13, limit=200)
+        if x > a + 1.0:
+            f = lambda t: math.exp((a - 1.0) * math.log(t) - t - lg - log_pdf) * math.log(t)
+            tail, _ = integrate.quad(f, x, math.inf, **quad)
+            return tail - sps.gammaincc(a, x) * math.exp(-log_pdf) * sps.digamma(a)
+        if a < 1.0:
+            # t^(a-1) log t as quad's algebraic-logarithmic weight at t = 0.
+            w = lambda t: math.exp(-t - lg - log_pdf)
+            head, _ = integrate.quad(w, 0.0, x, weight="alg-loga", wvar=(a - 1.0, 0.0), **quad)
+        else:
+            f = lambda t: math.exp((a - 1.0) * math.log(t) - t - lg - log_pdf) * math.log(t)
+            head, _ = integrate.quad(f, 0.0, x, **quad)
+        return -(head - sps.gammainc(a, x) * math.exp(-log_pdf) * sps.digamma(a))
+
+    @pytest.mark.parametrize("a,x", [(a, x) for a in (0.05, 1.0, 200.0)
+                                     for x in ((a + 1) / 2, a + 1 - 1e-9, a + 1 + 1e-9,
+                                               1.5 * (a + 1))] + [(1.0, 30.0)])
+    def test_matches_quadrature_reference(self, a, x):
+        # Both sides of the series / continued-fraction switch at x = a + 1,
+        # and a far-tail point where P(a, x) rounds to 1.
+        r = 2.5
+        dda, _ = dists.gamma_implicit_grad(a, r, x / r)
+        assert float(dda) * r == pytest.approx(self._reference(a, x), rel=1e-10)
 
 
 class TestEnumerate:

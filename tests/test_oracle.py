@@ -111,7 +111,7 @@ class TestQuadrature:
                     + np.log(0.5) - 0.5 * psi)
 
         grid = np.linspace(1e-6, 40.0, 10 ** 4)
-        riemann = np.trapz(np.exp(lj(0.7, grid)), grid)
+        riemann = np.trapezoid(np.exp(lj(0.7, grid)), grid)
         ours = oracle.quadrature_log_marginal(lj, 0.7)
         assert math.exp(ours) == pytest.approx(riemann, abs=1e-4)
 

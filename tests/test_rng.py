@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from hvi.rng import RngStream
 
@@ -61,3 +62,33 @@ def test_categorical_frequencies():
 def test_gamma_requires_positive_concentration():
     with pytest.raises(ValueError):
         RngStream(0).gamma(np.array([0.0, 1.0]))
+
+
+@pytest.mark.parametrize("conc,rate", [([np.nan, 1.0], 1.0), ([np.inf, 1.0], 1.0),
+                                       ([2.0, 1.0], np.nan), ([2.0, 1.0], 0.0)])
+def test_gamma_rejects_bad_parameters_up_front(conc, rate):
+    r = RngStream(0)
+    with pytest.raises(ValueError, match="concentration and rate"):
+        r.gamma(np.array(conc), rate)
+    assert r.uniforms_consumed == 0
+
+
+def test_gamma_redraws_only_pending_elements():
+    r = RngStream(0)
+    g = r.gamma(np.full(10 ** 5, 3.0))
+    assert r.uniforms_consumed < 3.5 * g.size
+    # 1 uniform per element when any concentration is below 1, then 3 per
+    # pending element per round.
+    r = RngStream(0)
+    conc = np.array([0.5] * 7 + [2.0] * 13)
+    r.gamma(conc)
+    extra = r.uniforms_consumed - conc.size
+    assert extra % 3 == 0 and extra >= 3 * conc.size
+    np.testing.assert_array_equal(RngStream(4).gamma(conc, 2.0), RngStream(4).gamma(conc, 2.0))
+
+
+@pytest.mark.parametrize("a", [0.4, 1.0, 3.0])
+def test_gamma_matches_scipy_ks(a):
+    # a < 1 takes the U^(1/a) boost path.
+    s = RngStream(7).gamma(np.full(20000, a), 2.0)
+    assert stats.kstest(s, stats.gamma(a, scale=0.5).cdf).pvalue > 0.01
