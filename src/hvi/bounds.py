@@ -26,27 +26,18 @@ from .models import (AuxiliaryInference, ExplicitPrior, Generative, Hierarchical
 from .rng import RngStream
 from .tape import NodeId, Tape
 
-VARIANTS = ("IWHVI", "DIWHVI", "SIVI", "SIVI_REUSED", "SIVI_LIKE", "SIVI_EQUICOMP",
-            "SIVI_EQUISAMPLE", "HVM", "DSIVI", "ELBO")
-
-
 @dataclass(frozen=True)
 class BoundConfig:
-    """Sample counts and variant tag for one estimator invocation."""
+    """Sample counts for one estimator invocation: M replicas per x row, K tau
+    draws per replica, L rho draws for a hierarchical prior."""
 
     M: int = 1
     K: int = 0
     L: int = 1
-    variant: str = "IWHVI"
-    jackknife_order: int = 0
 
     def __post_init__(self):
         if self.M < 1 or self.K < 0 or self.L < 1:
             raise ValueError("require M >= 1, K >= 0, L >= 1")
-        if self.variant not in VARIANTS:
-            raise ValueError(f"unknown variant {self.variant!r}")
-        if self.jackknife_order > self.K:
-            raise ValueError("jackknife order must satisfy J <= K")
 
 
 @dataclass
@@ -148,7 +139,7 @@ def upper_bound_U(q: HierarchicalModel, tau: AuxiliaryInference, z, x, K: int,
     return _finish(t, val, lw_mat, den)
 
 
-def upper_bound_U_joint(q, tau, x, K, rng, t: Tape | None = None, w_inner=1.0):
+def upper_bound_U_joint(q, tau, x, K, rng, t: Tape | None = None):
     """Upper-bound estimator in the joint-sampling context: (psi_0, z) ~ q.
 
     Returns (Estimate, z) so the caller can reuse the drawn z.
@@ -156,9 +147,28 @@ def upper_bound_U_joint(q, tau, x, K, rng, t: Tape | None = None, w_inner=1.0):
     if t is None:
         t = Tape(requires_grad=False)
     psi0, z = sample_joint(q, x, rng, t)
-    den, lw_mat = _denominator(q, tau, z, psi0, x, K, rng, t, w_inner=w_inner)
+    den, lw_mat = _denominator(q, tau, z, psi0, x, K, rng, t)
     val = t.mean(den)
     return _finish(t, val, lw_mat, den), z
+
+
+def _iw_average(model: HierarchicalModel, aux: AuxiliaryInference, z, x, n: int,
+                rng: RngStream, t: Tape, first=None):
+    """log[(1/m) sum_j model(z, psi_j | x) / aux(psi_j | z, x)] per row.
+
+    The psi_j are n draws from aux, preceded by ``first`` when given, so m is
+    n or n + 1.  Returns (per-row node, (m, rows) log-weight matrix node).
+    """
+    if first is None:
+        psis = aux.sample(z, x, n, rng, t)
+    else:
+        psis = cat_rows([first, aux.sample(z, x, n, rng, t)], t) if n > 0 else first
+        n += 1
+    z_rep = rep_rows(z, n, t)
+    x_rep = np.tile(x, (n, 1))
+    lw = t.sub(log_joint(model, z_rep, psis, x_rep, t), aux.log_prob(psis, z_rep, x_rep, t))
+    lw_mat = t.reshape(lw, (n, x.shape[0]))
+    return t.sub(t.logsumexp(lw_mat, axis=0), float(np.log(n))), lw_mat
 
 
 def lower_bound_L(q: HierarchicalModel, tau: AuxiliaryInference, z, x, K: int,
@@ -168,13 +178,7 @@ def lower_bound_L(q: HierarchicalModel, tau: AuxiliaryInference, z, x, K: int,
         raise ValueError("lower bound requires K >= 1 (empty average otherwise)")
     if t is None:
         t = Tape(requires_grad=False)
-    rows = x.shape[0]
-    psis = tau.sample(z, x, K, rng, t)
-    z_rep = rep_rows(z, K, t)
-    x_rep = np.tile(x, (K, 1))
-    lw = t.sub(log_joint(q, z_rep, psis, x_rep, t), tau.log_prob(psis, z_rep, x_rep, t))
-    lw_mat = t.reshape(lw, (K, rows))
-    per = t.sub(t.logsumexp(lw_mat, axis=0), float(np.log(K)))
+    per, lw_mat = _iw_average(q, tau, z, x, K, rng, t)
     return _finish(t, t.mean(per), lw_mat, per)
 
 
@@ -182,20 +186,13 @@ def lower_bound_L(q: HierarchicalModel, tau: AuxiliaryInference, z, x, K: int,
 # Hierarchical ELBOs
 # ---------------------------------------------------------------------------
 
-def _prior_term(gen: Generative, rho, z, x, L, rng, t, w_inner=1.0):
+def _prior_term(gen: Generative, rho, z, x, L, rng, t):
     prior = gen.prior
-    rows = x.shape[0]
     if isinstance(prior, ExplicitPrior):
         return prior.log_prob(z, t)
     if rho is None:
         raise ValueError("hierarchical prior requires an auxiliary inference rho")
-    p = prior.model
-    zetas = rho.sample(z, x, L, rng, t)
-    z_rep = rep_rows(z, L, t)
-    x_rep = np.tile(x, (L, 1))
-    lw = t.sub(log_joint(p, z_rep, zetas, x_rep, t), rho.log_prob(zetas, z_rep, x_rep, t))
-    lw_mat = t.reshape(lw, (L, rows))
-    return t.sub(t.logsumexp(lw_mat, axis=0), float(np.log(L)))
+    return _iw_average(prior.model, rho, z, x, L, rng, t)[0]
 
 
 def diwhvi_elbo(gen: Generative, q: HierarchicalModel, tau: AuxiliaryInference,
@@ -219,7 +216,7 @@ def diwhvi_elbo(gen: Generative, q: HierarchicalModel, tau: AuxiliaryInference,
     den, lw_mat = _denominator(q, tau, z, psi0, xm, K, rng, t, counter, w_inner=w_inner,
                                tau_stop_params=tau_stop_params)
     lik = gen.log_lik(xm, z, t)
-    pterm = _prior_term(gen, rho, z, xm, L, rng, t, w_inner=w_inner)
+    pterm = _prior_term(gen, rho, z, xm, L, rng, t)
     gap = t.sub(pterm, den)
     if w_outer != 1.0:
         gap = t.mul(float(w_outer), gap)
@@ -241,8 +238,7 @@ def iwhvi_elbo(gen, q, tau, rho, x, config: BoundConfig, rng, t=None, **kw) -> E
 
 def sivi_elbo(gen, q, x, K, rng, t=None, M: int = 1) -> Estimate:
     """Semi-implicit ELBO: the hierarchical bound with tau := q(psi | x)."""
-    cfg = BoundConfig(M=M, K=K, variant="SIVI")
-    return diwhvi_elbo(gen, q, prior_tau(q), None, x, cfg, rng, t)
+    return diwhvi_elbo(gen, q, prior_tau(q), None, x, BoundConfig(M=M, K=K), rng, t)
 
 
 def sivi_reused(gen: Generative, q: HierarchicalModel, x, M: int, K: int,
@@ -251,7 +247,8 @@ def sivi_reused(gen: Generative, q: HierarchicalModel, x, M: int, K: int,
 
     The denominator uses conditional densities only (tau = q(psi|x) cancels);
     the pool is drawn once and reused for every z_m, so psi sampling is
-    O(M + K) while density evaluation stays M(K+1) per row.
+    O(M + K) while density evaluation stays M(K+1) per row.  K is the pool
+    size; ``eval_variants`` passes M K for SIVI_EQUISAMPLE.
     """
     if not isinstance(gen.prior, ExplicitPrior):
         raise UnsupportedModelError("sample-reuse bound is defined for explicit priors")
@@ -275,29 +272,6 @@ def sivi_reused(gen: Generative, q: HierarchicalModel, x, M: int, K: int,
     return _finish(t, t.mean(per_x), r_mat if M > 1 else lw_mat, per_x, diag)
 
 
-def _sivi_equisample(gen, q, x, M, K, rng, t):
-    # M(K+1) psi draws; the M*K non-self draws are reused for every z_m.
-    if not isinstance(gen.prior, ExplicitPrior):
-        raise UnsupportedModelError("sample-reuse bound is defined for explicit priors")
-    B = x.shape[0]
-    xm = np.tile(x, (M, 1))
-    psi0, z = sample_joint(q, xm, rng, t)
-    pool = [q.sample_psi(x, rng, t) for _ in range(M * K)]
-    blocks = [psi0] + [rep_rows(p, M, t) for p in pool]
-    psis = cat_rows(blocks, t)
-    n_terms = M * K + 1
-    z_rep = rep_rows(z, n_terms, t)
-    x_rep = np.tile(xm, (n_terms, 1))
-    lcond = q.log_z_given_psi(z_rep, psis, x_rep, t)
-    lw_mat = t.reshape(lcond, (n_terms, M * B))
-    den = t.sub(t.logsumexp(lw_mat, axis=0), float(np.log(n_terms)))
-    ratio = t.add(gen.log_lik(xm, z, t), t.sub(gen.prior.log_prob(z, t), den))
-    r_mat = t.reshape(ratio, (M, B))
-    per_x = t.sub(t.logsumexp(r_mat, axis=0), float(np.log(M)))
-    diag = {"cond_evals": M * n_terms, "psi_samples": M * (K + 1)}
-    return _finish(t, t.mean(per_x), r_mat if M > 1 else lw_mat, per_x, diag)
-
-
 EVAL_VARIANTS = ("SIVI_LIKE", "SIVI_EQUICOMP", "SIVI_EQUISAMPLE", "DIWHVI_EVAL")
 
 
@@ -312,13 +286,13 @@ def eval_variants(gen, q, tau, x, M, K, variant: str, rng, t=None) -> Estimate:
     if t is None:
         t = Tape(requires_grad=False)
     if variant == "SIVI_LIKE":
-        return diwhvi_elbo(gen, q, prior_tau(q), None, x, BoundConfig(M=M, K=K, variant="SIVI_LIKE"), rng, t)
+        return diwhvi_elbo(gen, q, prior_tau(q), None, x, BoundConfig(M=M, K=K), rng, t)
     if variant == "SIVI_EQUICOMP":
         return sivi_reused(gen, q, x, M, K, rng, t)
     if variant == "SIVI_EQUISAMPLE":
-        return _sivi_equisample(gen, q, x, M, K, rng, t)
+        return sivi_reused(gen, q, x, M, M * K, rng, t)
     if variant == "DIWHVI_EVAL":
-        return diwhvi_elbo(gen, q, tau, None, x, BoundConfig(M=M, K=K, variant="DIWHVI"), rng, t)
+        return diwhvi_elbo(gen, q, tau, None, x, BoundConfig(M=M, K=K), rng, t)
     raise ValueError(f"unknown evaluation variant {variant!r}")
 
 
@@ -361,23 +335,10 @@ def kl_lower_bound(q: HierarchicalModel, prior, tau, rho, x, K: int, L: int,
             "KL lower bound requires exact inverse sampling p(zeta | z)")
     if t is None:
         t = Tape(requires_grad=False)
-    rows = x.shape[0]
     _, z = sample_joint(q, x, rng, t)
-    psis = tau.sample(z, x, K, rng, t)
-    z_rep = rep_rows(z, K, t)
-    x_rep = np.tile(x, (K, 1))
-    lw = t.sub(log_joint(q, z_rep, psis, x_rep, t), tau.log_prob(psis, z_rep, x_rep, t))
-    num = t.sub(t.logsumexp(t.reshape(lw, (K, rows)), axis=0), float(np.log(K)))
+    num, _ = _iw_average(q, tau, z, x, K, rng, t)
     zeta0 = p.sample_psi_posterior(z, x, rng, t)
-    if L > 0:
-        zetas = cat_rows([zeta0, rho.sample(z, x, L, rng, t)], t)
-    else:
-        zetas = zeta0
-    z_rep = rep_rows(z, L + 1, t)
-    x_rep = np.tile(x, (L + 1, 1))
-    lwp = t.sub(log_joint(p, z_rep, zetas, x_rep, t), rho.log_prob(zetas, z_rep, x_rep, t))
-    lwp_mat = t.reshape(lwp, (L + 1, rows))
-    den = t.sub(t.logsumexp(lwp_mat, axis=0), float(np.log(L + 1)))
+    den, lwp_mat = _iw_average(p, rho, z, x, L, rng, t, first=zeta0)
     per = t.sub(num, den)
     return _finish(t, t.mean(per), lwp_mat, per)
 

@@ -80,13 +80,6 @@ def categorical(probs) -> DistributionSpec:
     return DistributionSpec("categorical", {"probs": probs})
 
 
-@dataclass(frozen=True)
-class FactorizedSpec:
-    """Ordered per-dimension product of heterogeneous components."""
-
-    components: tuple
-
-
 def _reduce_last(t: Tape, node, value):
     # (rows, dim) inputs are per-dimension products: sum the trailing axis.
     # Scalars and 1-d vectors are independent evaluations, left elementwise.
@@ -97,15 +90,6 @@ def _reduce_last(t: Tape, node, value):
 
 def log_prob(dist, value, t: Tape) -> NodeId:
     """Natural-log density, recorded on the tape (differentiable end to end)."""
-    if isinstance(dist, FactorizedSpec):
-        vals = np.asarray(value, dtype=np.float64) if not isinstance(value, NodeId) else None
-        if vals is None:
-            raise UnsupportedKindError("FactorizedSpec scores plain arrays only")
-        total = None
-        for i, comp in enumerate(dist.components):
-            term = log_prob(comp, vals[..., i], t)
-            total = term if total is None else t.add(total, term)
-        return total
     p = dist.params
     if dist.kind == "normal":
         z = t.div(t.sub(value, p["mean"]), p["stddev"])
@@ -156,18 +140,21 @@ def _check_support(kind, value, t, lower, strict=False):
 def sample_reparam(dist: DistributionSpec, rng: RngStream, t: Tape, shape=None) -> NodeId:
     """Pathwise-differentiable draw; shape defaults to the broadcast param shape.
 
-    Normal is location-scale, Laplace and Exponential invert one uniform.
+    Normal is location-scale; a plain-array stddev is folded into the noise as
+    one constant node.  Laplace and Exponential invert one uniform.
     Gamma draws by Marsaglia-Tsang rejection (``RngStream.gamma``) and
     differentiates by the implicit CDF rule, exact to ~1e-14 relative (see
     ``gamma_implicit_grad``).
     """
     if dist.kind not in CONTINUOUS_KINDS:
-        raise UnsupportedKindError(f"sample_reparam does not support {dist.kind}; use enumerate_support")
+        raise UnsupportedKindError(f"sample_reparam does not support {dist.kind}")
     p = dist.params
     if shape is None:
         shape = np.broadcast_shapes(*(np.asarray(t.val(v)).shape for v in p.values()))
     if dist.kind == "normal":
         eps = rng.normal(shape)
+        if not isinstance(p["stddev"], NodeId):
+            return t.add(p["mean"], t.const(p["stddev"] * eps))
         return t.add(p["mean"], t.mul(p["stddev"], eps))
     if dist.kind == "laplace":
         u = rng.uniform(shape)
@@ -210,20 +197,6 @@ def gamma_implicit_grad(concentration, rate, sample):
     d_dconc = np.where(upper, dx_da, -dx_da) / r
     d_drate = -s / r
     return d_dconc, d_drate
-
-
-def enumerate_support(dist: DistributionSpec) -> list[tuple[int, float]]:
-    """Exhaustive (value, probability) support of a finite distribution."""
-    if dist.kind == "bernoulli":
-        p = dist.params.get("probability")
-        if p is None:
-            p = special.sigmoid(np.asarray(dist.params["logits"], dtype=np.float64))
-        p = float(np.asarray(p))
-        return [(0, 1.0 - p), (1, p)]
-    if dist.kind == "categorical":
-        probs = np.asarray(dist.params["probs"], dtype=np.float64)
-        return [(i, float(q)) for i, q in enumerate(probs)]
-    raise UnsupportedKindError(f"enumerate_support does not apply to {dist.kind}")
 
 
 def log_prob_value(dist, value) -> np.ndarray:

@@ -23,7 +23,6 @@ from .tape import ParamStore, Tape
 class GradEstimate:
     grads: dict[str, np.ndarray]
     estimator: str                 # AUTODIFF | IWHVI_DREG
-    replicates: int = 1
 
 
 def grad_autodiff(build, store: ParamStore, rng: RngStream,

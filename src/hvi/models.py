@@ -92,6 +92,16 @@ class AuxiliaryInference:
     block j of rows holds the j-th draw for every row.  All implemented tau
     have full support on psi's domain, so support domination holds by
     construction.
+
+    ``stop_params=True`` puts tau's parameters behind ``stop_gradient``, so
+    the density passes gradient only to psi and z.  The fused
+    ``sample_and_score`` also draws its k samples from the frozen
+    parameters, so under ``stop_params=True`` no gradient reaches tau's
+    parameters at all, through the density or the draws.  ``run_vae`` with
+    ``estimator=dreg`` relies on that: tau's gradient there comes from
+    ``grad_iwhvi_dreg`` alone.  sample + log_prob(stop_params=True) keeps the
+    draws' parameter path live, so the two routes agree only for
+    ``stop_params=False``.
     """
 
     log_prob: Callable            # (psi, z, x, tape, stop_params=False) -> (rows,)
@@ -99,9 +109,38 @@ class AuxiliaryInference:
     param_names: tuple = ()
     discrete: bool = False
     # Optional fused path: (z, x, k, psi0, rng, tape, stop_params) ->
-    # (psis = [psi0; k draws] stacked k-major, log tau over all k+1 blocks).
-    # Semantically identical to sample + log_prob but runs the conditioner once.
+    # (psis = [psi0; k draws] stacked k-major, log tau over all k+1 blocks),
+    # running the conditioner once.
     sample_and_score: Callable | None = None
+
+
+def conditional_tau(params: Callable, family: Callable, param_names: tuple) -> AuxiliaryInference:
+    """tau(psi | z, x) = family(*params(z, x, tape, stop_params)), row by row.
+
+    ``params`` returns per-row parameter nodes of shape (rows, psi_dim);
+    ``family`` maps them to a ``dists`` spec that ``dists.sample_reparam``
+    can draw from.  Builds log_prob, sample and the fused sample_and_score.
+    """
+
+    def log_prob(psi, z, x, t, stop_params=False):
+        return dists.log_prob(family(*params(z, x, t, stop_params)), psi, t)
+
+    def draw(p, k, rng, t):
+        return dists.sample_reparam(family(*(t.tile_rows(v, k) for v in p)), rng, t)
+
+    def sample(z, x, k, rng, t):
+        return draw(params(z, x, t, False), k, rng, t)
+
+    def sample_and_score(z, x, k, psi0, rng, t, stop_params=False):
+        p = params(z, x, t, stop_params)
+        # The k + 1 block is tiled before the draws: the reverse order does the
+        # same work but moved snr unit times by 10-35% through allocator layout.
+        p_all = [t.tile_rows(v, k + 1) for v in p]
+        psis = cat_rows([psi0, draw(p, k, rng, t)], t) if k > 0 else psi0
+        return psis, dists.log_prob(family(*p_all), psis, t)
+
+    return AuxiliaryInference(log_prob=log_prob, sample=sample, param_names=param_names,
+                              sample_and_score=sample_and_score)
 
 
 @dataclass
@@ -298,7 +337,6 @@ def make_discrete_hvm(psi_probs, z_given_psi) -> HierarchicalModel:
     info = FiniteModelInfo(psi_probs, z_given_psi)
     log_psi = _safe_log(psi_probs)
     log_cond = _safe_log(z_given_psi)           # (s, t)
-    log_joint_tab = log_psi[:, None] + log_cond  # (s, t)
 
     def sample_psi(x, rng, t):
         rows = x.shape[0]
@@ -324,7 +362,6 @@ def make_discrete_hvm(psi_probs, z_given_psi) -> HierarchicalModel:
         codes = np.asarray(z, dtype=np.int64)
         return np.array([rng.categorical(info.posterior_psi(int(c))) for c in codes], dtype=np.int64)
 
-    _ = log_joint_tab
     return HierarchicalModel(
         psi_dim=1, z_dim=1,
         sample_psi=sample_psi, sample_z=sample_z,
@@ -457,38 +494,13 @@ def make_gamma_mlp_tau(dim: int, hidden: tuple, store: ParamStore, rng: RngStrea
              HeadSpec("rate", dim, "positive", 0.5))
     mlp = init_mlp_cond(store, prefix, 2 * dim, tuple(hidden), heads, rng)
 
-    def _params(z, t, stop_params):
+    def params(z, x, t, stop_params):
         zn = z if isinstance(z, NodeId) else t.const(z)
         feats = t.concat([zn, t.abs(zn)], axis=1)
         out = mlp.apply(t, feats, frozen=stop_params)
         return out["concentration"], out["rate"]
 
-    def log_prob(psi, z, x, t, stop_params=False):
-        conc, rate = _params(z, t, stop_params)
-        return dists.log_prob(dists.gamma(conc, rate), psi, t)
-
-    def sample(z, x, k, rng_, t):
-        conc, rate = _params(z, t, False)
-        conc_k = t.tile_rows(conc, k)
-        rate_k = t.tile_rows(rate, k)
-        return dists.sample_reparam(dists.gamma(conc_k, rate_k), rng_, t)
-
-    def sample_and_score(z, x, k, psi0, rng_, t, stop_params=False):
-        conc, rate = _params(z, t, stop_params)
-        conc_all = t.tile_rows(conc, k + 1)
-        rate_all = t.tile_rows(rate, k + 1)
-        if k > 0:
-            conc_k, rate_k = t.tile_rows(conc, k), t.tile_rows(rate, k)
-            draws = dists.sample_reparam(dists.gamma(conc_k, rate_k), rng_, t)
-            psis = cat_rows([psi0, draws], t)
-        else:
-            psis = psi0
-        ltau = dists.log_prob(dists.gamma(conc_all, rate_all), psis, t)
-        return psis, ltau
-
-    return AuxiliaryInference(log_prob=log_prob, sample=sample,
-                              param_names=mlp.param_names(),
-                              sample_and_score=sample_and_score)
+    return conditional_tau(params, dists.gamma, mlp.param_names())
 
 
 # ---------------------------------------------------------------------------
@@ -544,37 +556,15 @@ def make_snr_task(store: ParamStore | None = None, rng: RngStream | None = None)
 
     std = np.sqrt(SNR_TAU_VAR)
 
-    def tau_mean(z, t, stop_params):
+    def tau_mean(z, x, t, stop_params):
         A = t.param(store, "snr.A")
         b = t.param(store, "snr.b")
         if stop_params:
             A, b = t.stop_gradient(A), t.stop_gradient(b)
         zn = z if isinstance(z, NodeId) else t.const(z)
-        return t.add(t.matmul(zn, A), t.reshape(b, (1, SNR_DIM)))
+        return (t.add(t.matmul(zn, A), t.reshape(b, (1, SNR_DIM))),)
 
-    def tau_log_prob(psi, z, x, t, stop_params=False):
-        return dists.log_prob(dists.normal(tau_mean(z, t, stop_params), std), psi, t)
-
-    def tau_sample(z, x, k, rng_, t):
-        mean = tau_mean(z, t, False)
-        mean_k = t.tile_rows(mean, k)
-        eps = rng_.normal(np.shape(t.val(mean_k)))
-        return t.add(mean_k, t.const(std * eps))
-
-    def tau_fused(z, x, k, psi0, rng_, t, stop_params=False):
-        mean = tau_mean(z, t, stop_params)
-        mean_all = t.tile_rows(mean, k + 1)
-        if k > 0:
-            mean_k = t.tile_rows(mean, k)
-            eps = rng_.normal(np.shape(t.val(mean_k)))
-            psis = cat_rows([psi0, t.add(mean_k, t.const(std * eps))], t)
-        else:
-            psis = psi0
-        ltau = dists.log_prob(dists.normal(mean_all, std), psis, t)
-        return psis, ltau
-
-    tau = AuxiliaryInference(log_prob=tau_log_prob, sample=tau_sample,
-                             param_names=("snr.A", "snr.b"), sample_and_score=tau_fused)
+    tau = conditional_tau(tau_mean, lambda mean: dists.normal(mean, std), ("snr.A", "snr.b"))
     return model, tau, store
 
 
@@ -655,29 +645,7 @@ def make_mini_vae(input_dim: int = 784, z_dim: int = 8, psi_dim: int = 8,
         out = tau_net.apply(t, inp, frozen=stop_params)
         return out["mean"], out["stddev"]
 
-    def tau_log_prob(psi, z, x, t, stop_params=False):
-        mean, std = tau_params(z, x, t, stop_params)
-        return dists.log_prob(dists.normal(mean, std), psi, t)
-
-    def tau_sample(z, x, k, rng_, t):
-        mean, std = tau_params(z, x, t, False)
-        mean_k, std_k = t.tile_rows(mean, k), t.tile_rows(std, k)
-        return t.add(mean_k, t.mul(std_k, t.const(rng_.normal(np.shape(t.val(mean_k))))))
-
-    def tau_fused(z, x, k, psi0, rng_, t, stop_params=False):
-        mean, std = tau_params(z, x, t, stop_params)
-        mean_all, std_all = t.tile_rows(mean, k + 1), t.tile_rows(std, k + 1)
-        if k > 0:
-            mean_k, std_k = t.tile_rows(mean, k), t.tile_rows(std, k)
-            draws = t.add(mean_k, t.mul(std_k, t.const(rng_.normal(np.shape(t.val(mean_k))))))
-            psis = cat_rows([psi0, draws], t)
-        else:
-            psis = psi0
-        ltau = dists.log_prob(dists.normal(mean_all, std_all), psis, t)
-        return psis, ltau
-
-    tau = AuxiliaryInference(log_prob=tau_log_prob, sample=tau_sample,
-                             param_names=tau_net.param_names(), sample_and_score=tau_fused)
+    tau = conditional_tau(tau_params, dists.normal, tau_net.param_names())
     return MiniVae(gen=gen, q=q, tau=tau, store=store, input_dim=input_dim,
                    z_dim=z_dim, psi_dim=psi_dim, decoder=dec)
 

@@ -111,10 +111,6 @@ def exact_expected_bound(model: HierarchicalModel, tau: AuxiliaryInference, z: i
     log_post = np.log(info.posterior_psi(z))
 
     tuples = np.array(list(itertools.product(range(s), repeat=n_draws)), dtype=np.int64)
-    gather = np.zeros((len(tuples), s))
-    for k in range(n_draws):
-        gather[np.arange(len(tuples)), tuples[:, k]] += 1.0
-    # gather @ lw sums the tuple's log weights; per-tuple LSE needs them split.
     onehot_cols = [np.eye(s)[tuples[:, k]] for k in range(n_draws)]
     lw_cols = [t.matvec(np.asarray(oh), lw) for oh in onehot_cols]
     lw_mat = t.concat([t.reshape(c, (len(tuples), 1)) for c in lw_cols], axis=1)

@@ -115,7 +115,11 @@ def inv_softplus(y):
     return y + np.log(-np.expm1(-y))
 
 
+# Near x = a the series terms fall like exp(-n^2 / 2a), so the series needs
+# about 8 sqrt(a) steps to reach 1e-16 (2588 at a = 1e5); the continued
+# fraction needs fewer.  The iteration cap therefore grows with sqrt(a).
 _MAX_ITER = 800
+_MAX_ITER_PER_SQRT_A = 13.0
 _EPS = 1e-16
 _CHECK_EVERY = 4
 
@@ -154,7 +158,8 @@ def gammainc_sums(a, x):
       same iteration, so the value and its derivative cost one pass.
 
     Both run until the next increment of the value and of the derivative is
-    below 1e-16 relative.  Requires finite a > 0 and x > 0.
+    below 1e-16 relative, for at most 800 + 13 sqrt(a) steps.  Requires finite
+    a > 0 and x > 0.
     """
     a, x = np.broadcast_arrays(_as_f64(a), _as_f64(x))
     if not (np.all(np.isfinite(a)) and np.all(np.isfinite(x))):
@@ -170,13 +175,14 @@ def gammainc_sums(a, x):
             (np.flatnonzero(~upper), _series_start, _series_step, _series_done),
             (np.flatnonzero(upper), _cf_start, _cf_step, _cf_done)):
         if sel.size:
-            s[sel], ds[sel] = _iterate(start(a[sel], x[sel]), step, done)
+            cap = _MAX_ITER + int(_MAX_ITER_PER_SQRT_A * np.sqrt(np.max(a[sel])))
+            s[sel], ds[sel] = _iterate(start(a[sel], x[sel]), step, done, cap)
     return s.reshape(shape), ds.reshape(shape), upper.reshape(shape)
 
 
-def _iterate(state, step, done):
+def _iterate(state, step, done, max_iter):
     """Apply ``state = step(i, state)`` for i = 1, 2, ... until ``done(state)``
-    holds everywhere.
+    holds everywhere; raise if that takes ``max_iter`` steps.
 
     ``state`` is a tuple of equal-length arrays whose first two are the value
     and its derivative.  Convergence is tested every ``_CHECK_EVERY`` steps;
@@ -189,7 +195,7 @@ def _iterate(state, step, done):
     val = np.empty(n)
     dval = np.empty(n)
     idx = np.arange(n)
-    for i in range(1, _MAX_ITER):
+    for i in range(1, max_iter):
         state = step(i, state)
         if i % _CHECK_EVERY:
             continue

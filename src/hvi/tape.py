@@ -3,7 +3,7 @@
 A ``Tape`` records an append-only sequence of operation nodes; ``backward``
 replays it in reverse, accumulating adjoints by summation over fan-out.
 Node ids are topologically ordered by construction: every input id of node i
-is < i.  A tape is single-use: one forward build, at most one backward pass.
+is < i.  ``backward`` leaves the tape unchanged, so it can run more than once.
 
 Trainable parameters live outside the tape in a :class:`ParamStore` and are
 bound as leaf nodes per pass via :meth:`Tape.param`.
@@ -264,7 +264,6 @@ class Tape:
         self._aux: list = []
         self.values: list[np.ndarray] = []
         self._param_leaves: list[tuple[int, ParamStore, str]] = []
-        self._used = False
 
     # -- plumbing ------------------------------------------------------------
 

@@ -461,10 +461,6 @@ class TestBoundConfig:
             BoundConfig(M=0)
         with pytest.raises(ValueError):
             BoundConfig(K=-1)
-        with pytest.raises(ValueError):
-            BoundConfig(variant="NOPE")
-        with pytest.raises(ValueError):
-            BoundConfig(K=2, jackknife_order=3)
 
     def test_iwhvi_requires_m1(self):
         with pytest.raises(ValueError):

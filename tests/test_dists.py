@@ -69,12 +69,6 @@ class TestLogProb:
         with pytest.raises(ValueError):
             dists.bernoulli(probability=1.2)
 
-    def test_factorized_spec_sums_components(self):
-        f = dists.FactorizedSpec((dists.normal(0, 1), dists.laplace(0, 1)))
-        v = np.array([[0.0, 0.0]])
-        out = dists.log_prob_value(f, v)
-        assert float(out[0]) == pytest.approx(-0.918939 - math.log(2), abs=1e-5)
-
 
 NORMALIZATION_CASES = [
     dists.exponential(0.7),
@@ -250,22 +244,3 @@ class TestGammaImplicitGrad:
         r = 2.5
         dda, _ = dists.gamma_implicit_grad(a, r, x / r)
         assert float(dda) * r == pytest.approx(self._reference(a, x), rel=1e-10)
-
-
-class TestEnumerate:
-    def test_bernoulli(self):
-        assert dists.enumerate_support(dists.bernoulli(probability=0.3)) == [(0, 0.7), (1, pytest.approx(0.3))]
-
-    def test_categorical(self):
-        assert dists.enumerate_support(dists.categorical([0.2, 0.8])) == [(0, pytest.approx(0.2)), (1, pytest.approx(0.8))]
-
-    def test_degenerate(self):
-        assert dists.enumerate_support(dists.categorical([1.0])) == [(0, 1.0)]
-
-    def test_probabilities_sum_to_one(self):
-        for d in (dists.bernoulli(probability=0.42), dists.categorical([0.1, 0.7, 0.2])):
-            assert sum(p for _, p in dists.enumerate_support(d)) == pytest.approx(1.0, abs=1e-12)
-
-    def test_continuous_unsupported(self):
-        with pytest.raises(UnsupportedKindError):
-            dists.enumerate_support(dists.normal(0, 1))

@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 
 from hvi import dists, oracle
-from hvi.models import (HeadSpec, UnsupportedModelError, init_mlp_cond, load_params,
-                        log_joint, make_discrete_hvm, make_gamma_mlp_tau,
-                        make_laplace_scale_mixture, make_mini_vae, make_snr_task,
-                        posterior_tau, prior_tau, sample_joint, save_params)
+from hvi.bounds import BoundConfig, diwhvi_elbo
+from hvi.models import (HeadSpec, UnsupportedModelError, cat_rows, flat_generative,
+                        init_mlp_cond, load_params, log_joint, make_discrete_hvm,
+                        make_gamma_mlp_tau, make_laplace_scale_mixture, make_mini_vae,
+                        make_snr_task, posterior_tau, prior_tau, sample_joint, save_params)
 from hvi.rng import RngStream
 from hvi.tape import ParamStore, Tape
 
@@ -252,21 +253,56 @@ class TestGammaMlpTau:
         lp = np.asarray(dists.log_prob_value(dists.exponential(0.5), psi))
         np.testing.assert_allclose(lt, lp, atol=0.05)
 
-    def test_sample_and_score_agrees_with_separate_paths(self):
-        store = ParamStore()
-        tau = make_gamma_mlp_tau(3, (8,), store, RngStream(0))
-        z = np.random.default_rng(0).normal(0, 1, (4, 3))
-        x = np.zeros((4, 0))
-        psi0 = np.abs(np.random.default_rng(1).normal(0, 1, (4, 3))) + 0.1
+
+def _gamma_case():
+    tau = make_gamma_mlp_tau(3, (8,), ParamStore(), RngStream(0))
+    return flat_generative(), make_laplace_scale_mixture(3), tau, np.zeros((4, 0))
+
+
+def _snr_case():
+    model, tau, _ = make_snr_task(ParamStore(), RngStream(0))
+    return flat_generative(), model, tau, np.zeros((4, 0))
+
+
+def _vae_case():
+    vae = make_mini_vae(12, 3, 3, (8,), RngStream(1))
+    x = (np.random.default_rng(0).random((4, 12)) < 0.4).astype(float)
+    return vae.gen, vae.q, vae.tau, x
+
+
+TAU_CASES = {"gamma": _gamma_case, "snr": _snr_case, "vae": _vae_case}
+
+
+@pytest.mark.parametrize("case", sorted(TAU_CASES))
+class TestConditionalTau:
+    """The three conditional_tau factories: Gamma MLP, linear SNR, VAE MLP."""
+
+    def test_sample_and_score_agrees_with_separate_paths(self, case):
+        _, q, tau, x = TAU_CASES[case]()
+        t0 = Tape(requires_grad=False)
+        psi0, z = (t0.val(v) for v in sample_joint(q, x, RngStream(3), t0))
         ta = Tape(requires_grad=False)
         psis, lt = tau.sample_and_score(z, x, 2, ta.const(psi0), RngStream(9), ta)
         tb = Tape(requires_grad=False)
-        draws = tau.sample(z, x, 2, RngStream(9), tb)
-        from hvi.models import cat_rows
-        psis_b = cat_rows([tb.const(psi0), draws], tb)
-        lt_b = tau.log_prob(tb.val(psis_b), np.tile(z, (3, 1)), np.zeros((12, 0)), tb)
+        psis_b = cat_rows([tb.const(psi0), tau.sample(z, x, 2, RngStream(9), tb)], tb)
+        lt_b = tau.log_prob(tb.val(psis_b), np.tile(z, (3, 1)), np.tile(x, (3, 1)), tb)
         np.testing.assert_allclose(ta.val(psis), tb.val(psis_b), atol=1e-12)
         np.testing.assert_allclose(ta.val(lt), tb.val(lt_b), atol=1e-12)
+
+    def test_stop_params_freezes_tau_in_draws_and_density(self, case):
+        # vae-train's dreg estimator relies on this: under tau_stop_params no
+        # gradient reaches tau's parameters, not even through the K draws.
+        gen, q, tau, x = TAU_CASES[case]()
+
+        def live_params(stop):
+            t = Tape()
+            est = diwhvi_elbo(gen, q, tau, None, x, BoundConfig(M=2, K=3), RngStream(4), t,
+                              tau_stop_params=stop)
+            grads = t.param_grads(t.backward(est.node))
+            return [n for n in tau.param_names if np.any(grads[n] != 0.0)]
+
+        assert live_params(False)
+        assert live_params(True) == []
 
 
 class TestMiniVae:

@@ -68,6 +68,13 @@ def test_gammainc_wide_range_and_upper_tail():
     np.testing.assert_allclose((prefactor * s)[tail], sps.gammaincc(A, X)[tail], rtol=1e-10)
 
 
+@pytest.mark.parametrize("a", [1e4, 1e5])
+def test_gammainc_converges_for_large_a(a):
+    # Near x = a the series needs about 8 sqrt(a) terms, past any fixed cap.
+    x = np.array([a - 0.5, a + 0.5])
+    np.testing.assert_allclose(special.gammainc_p(a, x), sps.gammainc(a, x), rtol=1e-9)
+
+
 def test_gammainc_rejects_non_finite():
     with pytest.raises(ValueError):
         special.gammainc_p(np.nan, 1.0)
