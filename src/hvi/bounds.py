@@ -3,9 +3,10 @@ evaluation variants, and the jackknife-debiased estimator.
 
 All weight arithmetic is in log space through a stable log-sum-exp; the toy
 density ratios span tens of nats and linear space would overflow.  Layout
-convention: with B observation rows and k auxiliary draws per row, stacked
-sample blocks are k-major, so a flat (k*B,) log-weight vector reshapes to
-(k, B) and reduces over axis 0.
+convention (see ``models``): x keeps its B observation rows and is never
+tiled; with k draws per sample row, stacked sample blocks are k-major, so a
+flat (k*R,) log-weight vector over R sample rows reshapes to (k, R) and
+reduces over axis 0.
 
 The joint-sample index psi_0 always occupies slot 0 and is drawn from the
 model joint (or its exact posterior when one exists), never from tau; the
@@ -21,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .models import (AuxiliaryInference, ExplicitPrior, Generative, HierarchicalModel,
-                     HierarchicalPrior, UnsupportedModelError, cat_rows, log_joint,
+                     HierarchicalPrior, UnsupportedModelError, cat_rows, log_joint, n_rows,
                      prior_tau, rep_rows, sample_joint)
 from .rng import RngStream
 from .tape import NodeId, Tape
@@ -88,11 +89,11 @@ def _denominator(q, tau, z, psi0, x, K, rng, t, counter=None, w_inner=1.0,
                  tau_stop_params=False):
     """log[(1/(K+1)) sum_k q(z, psi_k | x) / tau(psi_k | z, x)] per row.
 
-    Returns (per-row node, (K+1, rows) log-weight matrix node).  ``w_inner``
-    scales the log q(psi|x) - log tau(psi|z,x) part of each weight (the inner
-    KL warm-up used during training; 1 recovers the bound).
+    Returns (per-row node, (K+1, rows) log-weight matrix node) over the rows
+    of z.  ``w_inner`` scales the log q(psi|x) - log tau(psi|z,x) part of each
+    weight (the inner KL warm-up used during training; 1 recovers the bound).
     """
-    rows = x.shape[0]
+    rows = n_rows(z, t)
     if tau.sample_and_score is not None:
         psis, ltau = tau.sample_and_score(z, x, K, psi0, rng, t, stop_params=tau_stop_params)
     else:
@@ -102,17 +103,18 @@ def _denominator(q, tau, z, psi0, x, K, rng, t, counter=None, w_inner=1.0,
             psis = psi0
         ltau = None
     z_rep = rep_rows(z, K + 1, t)
-    x_rep = np.tile(x, (K + 1, 1))
     if counter is not None:
         counter["cond_evals"] = counter.get("cond_evals", 0) + (K + 1) * rows
-    lcond = q.log_z_given_psi(z_rep, psis, x_rep, t)
-    lpsi = q.log_psi_prior(psis, x_rep, t)
-    if ltau is None:
-        ltau = tau.log_prob(psis, z_rep, x_rep, t, stop_params=tau_stop_params)
-    inner = t.sub(lpsi, ltau)
-    if w_inner != 1.0:
-        inner = t.mul(float(w_inner), inner)
-    lw = t.add(lcond, inner)
+    lw = q.log_z_given_psi(z_rep, psis, x, t)
+    # tau = q(psi | x): log q(psi | x) - log tau is exactly 0, so skip both.
+    if tau.prior_of is not q:
+        lpsi = q.log_psi_prior(psis, x, t)
+        if ltau is None:
+            ltau = tau.log_prob(psis, z_rep, x, t, stop_params=tau_stop_params)
+        inner = t.sub(lpsi, ltau)
+        if w_inner != 1.0:
+            inner = t.mul(float(w_inner), inner)
+        lw = t.add(lw, inner)
     lw_mat = t.reshape(lw, (K + 1, rows))
     den = t.sub(t.logsumexp(lw_mat, axis=0), float(np.log(K + 1)))
     return den, lw_mat
@@ -165,9 +167,8 @@ def _iw_average(model: HierarchicalModel, aux: AuxiliaryInference, z, x, n: int,
         psis = cat_rows([first, aux.sample(z, x, n, rng, t)], t) if n > 0 else first
         n += 1
     z_rep = rep_rows(z, n, t)
-    x_rep = np.tile(x, (n, 1))
-    lw = t.sub(log_joint(model, z_rep, psis, x_rep, t), aux.log_prob(psis, z_rep, x_rep, t))
-    lw_mat = t.reshape(lw, (n, x.shape[0]))
+    lw = t.sub(log_joint(model, z_rep, psis, x, t), aux.log_prob(psis, z_rep, x, t))
+    lw_mat = t.reshape(lw, (n, n_rows(z, t)))
     return t.sub(t.logsumexp(lw_mat, axis=0), float(np.log(n))), lw_mat
 
 
@@ -186,8 +187,7 @@ def lower_bound_L(q: HierarchicalModel, tau: AuxiliaryInference, z, x, K: int,
 # Hierarchical ELBOs
 # ---------------------------------------------------------------------------
 
-def _prior_term(gen: Generative, rho, z, x, L, rng, t):
-    prior = gen.prior
+def _prior_term(prior, rho, z, x, L, rng, t):
     if isinstance(prior, ExplicitPrior):
         return prior.log_prob(z, t)
     if rho is None:
@@ -211,12 +211,11 @@ def diwhvi_elbo(gen: Generative, q: HierarchicalModel, tau: AuxiliaryInference,
     M, K, L = config.M, config.K, config.L
     B = x.shape[0]
     counter: dict = {}
-    xm = np.tile(x, (M, 1))
-    psi0, z = sample_joint(q, xm, rng, t)
-    den, lw_mat = _denominator(q, tau, z, psi0, xm, K, rng, t, counter, w_inner=w_inner,
+    psi0, z = sample_joint(q, x, rng, t, rows=M * B)
+    den, lw_mat = _denominator(q, tau, z, psi0, x, K, rng, t, counter, w_inner=w_inner,
                                tau_stop_params=tau_stop_params)
-    lik = gen.log_lik(xm, z, t)
-    pterm = _prior_term(gen, rho, z, xm, L, rng, t)
+    lik = gen.log_lik(x, z, t)
+    pterm = _prior_term(gen.prior, rho, z, x, L, rng, t)
     gap = t.sub(pterm, den)
     if w_outer != 1.0:
         gap = t.mul(float(w_outer), gap)
@@ -255,17 +254,15 @@ def sivi_reused(gen: Generative, q: HierarchicalModel, x, M: int, K: int,
     if t is None:
         t = Tape(requires_grad=False)
     B = x.shape[0]
-    xm = np.tile(x, (M, 1))
-    psi0, z = sample_joint(q, xm, rng, t)
-    pool = [q.sample_psi(x, rng, t) for _ in range(K)]      # K draws of (B, .)
+    psi0, z = sample_joint(q, x, rng, t, rows=M * B)
+    pool = [q.sample_psi(x, B, rng, t) for _ in range(K)]   # K draws of (B, .)
     blocks = [psi0] + [rep_rows(p, M, t) for p in pool]
     psis = cat_rows(blocks, t)
     z_rep = rep_rows(z, K + 1, t)
-    x_rep = np.tile(xm, (K + 1, 1))
-    lcond = q.log_z_given_psi(z_rep, psis, x_rep, t)
+    lcond = q.log_z_given_psi(z_rep, psis, x, t)
     lw_mat = t.reshape(lcond, (K + 1, M * B))
     den = t.sub(t.logsumexp(lw_mat, axis=0), float(np.log(K + 1)))
-    ratio = t.add(gen.log_lik(xm, z, t), t.sub(gen.prior.log_prob(z, t), den))
+    ratio = t.add(gen.log_lik(x, z, t), t.sub(gen.prior.log_prob(z, t), den))
     r_mat = t.reshape(ratio, (M, B))
     per_x = t.sub(t.logsumexp(r_mat, axis=0), float(np.log(M)))
     diag = {"cond_evals": M * (K + 1), "psi_samples": M + K}
@@ -312,8 +309,7 @@ def kl_upper_bound(q: HierarchicalModel, prior, tau, rho, x, K: int, L: int,
         t = Tape(requires_grad=False)
     psi0, z = sample_joint(q, x, rng, t)
     num, lw_mat = _denominator(q, tau, z, psi0, x, K, rng, t)
-    gen = Generative(log_lik=lambda xx, zz, tt: tt.const(np.zeros(xx.shape[0])), prior=prior)
-    den = _prior_term(gen, rho, z, x, L, rng, t)
+    den = _prior_term(prior, rho, z, x, L, rng, t)
     per = t.sub(num, den)
     return _finish(t, t.mean(per), lw_mat, per)
 
@@ -352,16 +348,16 @@ def omega_sample(model: HierarchicalModel, tau: AuxiliaryInference, z, x, K: int
     """Draw K+1 from tau, self-normalize joint/tau weights, move a categorical
     pick to the front.  Returns the reordered draws as a list."""
     t = Tape(requires_grad=False)
+    rows = n_rows(z, t)
     draws = tau.sample(z, x, K + 1, rng, t)
     z_rep = rep_rows(z, K + 1, t)
-    x_rep = np.tile(x, (K + 1, 1))
-    lw = t.val(t.sub(log_joint(model, z_rep, draws, x_rep, t),
-                     tau.log_prob(draws, z_rep, x_rep, t)))
-    lw = np.asarray(lw).reshape(K + 1, x.shape[0])
+    lw = t.val(t.sub(log_joint(model, z_rep, draws, x, t),
+                     tau.log_prob(draws, z_rep, x, t)))
+    lw = np.asarray(lw).reshape(K + 1, rows)
     draws_v = t.val(draws) if isinstance(draws, NodeId) else np.asarray(draws)
-    draws_v = draws_v.reshape((K + 1, x.shape[0]) + draws_v.shape[1:])
+    draws_v = draws_v.reshape((K + 1, rows) + draws_v.shape[1:])
     out = []
-    for b in range(x.shape[0]):
+    for b in range(rows):
         w = np.exp(lw[:, b] - np.max(lw[:, b]))
         h = rng.categorical(w / w.sum())
         order = [h] + [i for i in range(K + 1) if i != h]
@@ -425,8 +421,7 @@ def expected_kl_tau_prior(q: HierarchicalModel, tau: AuxiliaryInference, x,
     """
     t = Tape(requires_grad=False)
     reps = max(1, n_samples // max(1, x.shape[0]))
-    xm = np.tile(x, (reps, 1))
-    _, z = sample_joint(q, xm, rng, t)
-    psis = tau.sample(z, xm, 1, rng, t)
-    diff = t.sub(tau.log_prob(psis, z, xm, t), q.log_psi_prior(psis, xm, t))
+    _, z = sample_joint(q, x, rng, t, rows=reps * x.shape[0])
+    psis = tau.sample(z, x, 1, rng, t)
+    diff = t.sub(tau.log_prob(psis, z, x, t), q.log_psi_prior(psis, x, t))
     return float(np.mean(np.asarray(t.val(diff))))

@@ -108,10 +108,10 @@ def log_prob(dist, value, t: Tape) -> NodeId:
     elif dist.kind == "bernoulli":
         v = value
         if "logits" in p:
-            # x*log sigmoid(l) + (1-x)*log sigmoid(-l), in softplus form.
+            # x*log sigmoid(l) + (1-x)*log sigmoid(-l) = x*l - softplus(l),
+            # since log sigmoid(l) = l - softplus(l): one softplus pass.
             l = p["logits"]
-            lp = t.neg(t.add(t.mul(v, t.softplus(t.neg(l))),
-                             t.mul(t.sub(1.0, v), t.softplus(l))))
+            lp = t.sub(t.mul(v, l), t.softplus(l))
         else:
             q = p["probability"]
             lp = t.add(t.mul(v, t.log(q)), t.mul(t.sub(1.0, v), t.log(t.sub(1.0, q))))

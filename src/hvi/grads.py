@@ -64,28 +64,26 @@ def grad_iwhvi_dreg(gen: Generative, q: HierarchicalModel, tau: AuxiliaryInferen
     M, K = config.M, config.K
     B = x.shape[0]
     t = Tape()
-    xm = np.tile(x, (M, 1))
-    psi0, z = sample_joint(q, xm, rng, t)
+    psi0, z = sample_joint(q, x, rng, t, rows=M * B)
 
     # k = 0 term: log weight value for the coefficients, plus the score-like
     # node carrying tau's explicit parameter dependence.
-    ltau0_live = tau.log_prob(psi0, z, xm, t, stop_params=False)
-    lw0 = np.asarray(t.val(log_joint(q, z, psi0, xm, t))) - np.asarray(t.val(ltau0_live))
+    ltau0_live = tau.log_prob(psi0, z, x, t, stop_params=False)
+    lw0 = np.asarray(t.val(log_joint(q, z, psi0, x, t))) - np.asarray(t.val(ltau0_live))
 
     if K > 0:
-        psis = tau.sample(z, xm, K, rng, t)
+        psis = tau.sample(z, x, K, rng, t)
         z_rep = rep_rows(z, K, t)
-        x_rep = np.tile(xm, (K, 1))
         # eta frozen inside the density, psi path live: exactly grad_psi beta.
-        lw_tail = t.sub(log_joint(q, z_rep, psis, x_rep, t),
-                        tau.log_prob(psis, z_rep, x_rep, t, stop_params=True))
+        lw_tail = t.sub(log_joint(q, z_rep, psis, x, t),
+                        tau.log_prob(psis, z_rep, x, t, stop_params=True))
         lw_tail = t.reshape(lw_tail, (K, M * B))
         lw_all = np.concatenate([lw0[None, :], np.asarray(t.val(lw_tail))], axis=0)
     else:
         lw_tail = None
         lw_all = lw0[None, :]
 
-    lik = np.asarray(t.val(gen.log_lik(xm, z, t)))
+    lik = np.asarray(t.val(gen.log_lik(x, z, t)))
     lpz = np.asarray(t.val(gen.prior.log_prob(z, t)))
     den = _logsumexp_np(lw_all, axis=0) - np.log(K + 1)
     r = (lik + lpz - den).reshape(M, B)

@@ -4,10 +4,16 @@ A hierarchical model is a mixture q(z | x) = integral q(z | psi, x) q(psi | x)
 dpsi exposed through component samplers and log densities; the joint density
 is only ever accessed as the sum log q(psi | x) + log q(z | psi, x).
 
-Batching convention: all samplers and densities act on row-aligned arrays or
-tape nodes, where continuous values have shape (rows, dim) and finite-support
-values are integer code arrays of shape (rows,).  Conditioning inputs ``x``
-are plain float arrays of shape (rows, x_dim) with x_dim >= 0.
+Batching convention: one sample layout.  The conditioning input ``x`` is a
+plain float array of shape (B, x_dim), x_dim >= 0, one row per observation,
+and is never tiled.  Every sample-shaped value (psi, z, draws of tau) is an
+array or tape node of n·B rows stacked k-major: block j of B rows holds the
+j-th sample for every observation.  Continuous values have shape (n·B, dim);
+finite-support values are integer code arrays of shape (n·B,).  A
+conditional computes its x-only features once on the B rows of x and
+broadcasts them over the n sample blocks; sample rows that are not a
+multiple of x's rows raise ValueError.  An x with as many rows as the
+samples (n = 1) is the plain row-aligned case.
 """
 
 from __future__ import annotations
@@ -59,8 +65,8 @@ class HierarchicalModel:
 
     psi_dim: int
     z_dim: int
-    sample_psi: Callable          # (x, rng, tape) -> psi  (rows from x.shape[0])
-    sample_z: Callable            # (psi, x, rng, tape) -> z
+    sample_psi: Callable          # (x, rows, rng, tape) -> psi with ``rows`` rows
+    sample_z: Callable            # (psi, x, rng, tape) -> z, one row per psi row
     log_psi_prior: Callable       # (psi, x, tape) -> (rows,)
     log_z_given_psi: Callable     # (z, psi, x, tape) -> (rows,)
     exact_log_marginal: Callable | None = None          # (z, x) -> (rows,) floats
@@ -77,9 +83,9 @@ def log_joint(model: HierarchicalModel, z, psi, x, t: Tape) -> NodeId:
     return t.add(model.log_psi_prior(psi, x, t), model.log_z_given_psi(z, psi, x, t))
 
 
-def sample_joint(model: HierarchicalModel, x, rng: RngStream, t: Tape):
-    """(psi0, z) drawn from the joint q(psi, z | x)."""
-    psi0 = model.sample_psi(x, rng, t)
+def sample_joint(model: HierarchicalModel, x, rng: RngStream, t: Tape, rows: int | None = None):
+    """(psi0, z) drawn from the joint q(psi, z | x), ``rows`` rows (default: one per x row)."""
+    psi0 = model.sample_psi(x, x.shape[0] if rows is None else rows, rng, t)
     z = model.sample_z(psi0, x, rng, t)
     return psi0, z
 
@@ -112,6 +118,8 @@ class AuxiliaryInference:
     # (psis = [psi0; k draws] stacked k-major, log tau over all k+1 blocks),
     # running the conditioner once.
     sample_and_score: Callable | None = None
+    # The model whose q(psi | x) this tau is (``prior_tau``), else None.
+    prior_of: HierarchicalModel | None = None
 
 
 def conditional_tau(params: Callable, family: Callable, param_names: tuple) -> AuxiliaryInference:
@@ -164,15 +172,22 @@ class Generative:
 
 def flat_generative() -> Generative:
     """log p(x|z) = log p(z) = 0; turns the IWHVI machinery into pure U_K work."""
-
-    def _rows(v, t):
-        arr = t.val(v) if isinstance(v, NodeId) else np.asarray(v)
-        return arr.shape[0]
-
     return Generative(
-        log_lik=lambda x, z, t: t.const(np.zeros(_rows(z, t))),
-        prior=ExplicitPrior(log_prob=lambda z, t: t.const(np.zeros(_rows(z, t)))),
+        log_lik=lambda x, z, t: t.const(np.zeros(n_rows(z, t))),
+        prior=ExplicitPrior(log_prob=lambda z, t: t.const(np.zeros(n_rows(z, t)))),
     )
+
+
+def n_rows(value, t: Tape) -> int:
+    """Row count of a node, float array or int code array."""
+    return np.shape(t.val(value) if isinstance(value, NodeId) else value)[0]
+
+
+def sample_blocks(rows: int, x_rows: int) -> int:
+    """Number n of k-major sample blocks when ``rows`` = n * ``x_rows``."""
+    if x_rows < 1 or rows % x_rows:
+        raise ValueError(f"{rows} sample rows are not a multiple of the {x_rows} rows of x")
+    return rows // x_rows
 
 
 def rep_rows(value, n: int, t: Tape):
@@ -209,11 +224,17 @@ GATE_BIAS_INIT = -5.0
 class MlpCond:
     """MLP mapping conditioning inputs to distribution parameters.
 
-    Softplus activations throughout.  When ``concat_extra`` is set, every
+    Softplus activations throughout.  The first layer acts on the columns
+    [x, inputs], x only when given.  When ``concat_extra`` is set, every
     layer (heads included) acts on its input concatenated with the extra
     conditioning vector.  A sigmoid gate output (weights zero-initialized,
     bias -5) blends each head with a fixed fallback parameter so a freshly
     initialized conditional sits on its fallback prior.
+
+    The leading block of the first layer may hold per-observation rows (B
+    rows of x, or ``inputs`` when it is x) under n·B sample rows: it meets
+    its rows of the weight on its own B rows, and the product is broadcast
+    over the n sample blocks, so x is never tiled.
     """
 
     store: ParamStore
@@ -224,24 +245,26 @@ class MlpCond:
     extra_dim: int = 0
     gated: bool = True
 
-    def apply(self, t: Tape, inputs, extra=None, frozen: bool = False) -> dict:
+    def apply(self, t: Tape, inputs, extra=None, frozen: bool = False, x=None) -> dict:
         def p(name):
             node = t.param(self.store, f"{self.prefix}.{name}")
             return t.stop_gradient(node) if frozen else node
 
-        h = inputs if isinstance(inputs, NodeId) else t.const(inputs)
+        def lift(v):
+            return v if isinstance(v, NodeId) else t.const(v)
+
+        tail = [lift(extra)] if self.concat_extra and extra is not None else []
+        blocks = ([lift(x)] if x is not None else []) + [lift(inputs)]
         for i in range(len(self.layer_sizes) - 1):
-            if self.concat_extra and extra is not None:
-                h = t.concat([h, extra if isinstance(extra, NodeId) else t.const(extra)], axis=1)
-            h = t.softplus(t.add(t.matmul(h, p(f"w{i}")), p(f"b{i}")))
-        if self.concat_extra and extra is not None:
-            h = t.concat([h, extra if isinstance(extra, NodeId) else t.const(extra)], axis=1)
+            h = t.softplus(_affine(t, _layer_input(t, blocks + tail), p, f"w{i}", f"b{i}"))
+            blocks = [h]
+        top = _layer_input(t, blocks + tail)
         out = {}
         if self.gated:
-            gate = t.sigmoid(t.add(t.matmul(h, p("w_gate")), p("b_gate")))  # (rows, 1)
+            gate = t.sigmoid(_affine(t, top, p, "w_gate", "b_gate"))  # (rows, 1)
             out["gate"] = gate
         for spec in self.heads:
-            raw = t.add(t.matmul(h, p(f"w_{spec.name}")), p(f"b_{spec.name}"))
+            raw = _affine(t, top, p, f"w_{spec.name}", f"b_{spec.name}")
             if spec.transform == "identity":
                 val = raw
             elif spec.transform == "positive":
@@ -259,6 +282,36 @@ class MlpCond:
 
     def param_names(self) -> tuple:
         return tuple(self.store.names(self.prefix + "."))
+
+
+def _layer_input(t: Tape, blocks: list):
+    """(lead, rest) of a layer's column blocks.
+
+    ``lead`` is the leading block when it has fewer rows than the others (the
+    per-observation x), else None; ``rest`` joins the remaining blocks.
+    """
+    lead = blocks[0] if n_rows(blocks[0], t) != n_rows(blocks[-1], t) else None
+    rest = blocks[1:] if lead is not None else blocks
+    return lead, rest[0] if len(rest) == 1 else t.concat(rest, axis=1)
+
+
+def _affine(t: Tape, layer_input, p, w: str, b: str):
+    """[lead, rest] @ p(w) + p(b), broadcasting a per-observation lead.
+
+    The lead's product and the bias are formed on its B rows; the n·B rows
+    of rest meet only their own rows of the weight.
+    """
+    lead, rest = layer_input
+    if lead is None:
+        return t.add(t.matmul(rest, p(w)), p(b))
+    rows, x_rows = n_rows(rest, t), n_rows(lead, t)
+    n = sample_blocks(rows, x_rows)
+    weight = p(w)
+    d, d_all = np.shape(t.val(lead))[1], np.shape(t.val(weight))[0]
+    per_x = t.add(t.matmul(lead, t.slice_rows(weight, 0, d)), p(b))         # (B, H)
+    per_sample = t.matmul(rest, t.slice_rows(weight, d, d_all))              # (n*B, H)
+    width = np.shape(t.val(per_x))[1]
+    return t.reshape(t.add(t.reshape(per_sample, (n, x_rows, width)), per_x), (rows, width))
 
 
 def _head_bias_init(spec: HeadSpec) -> np.ndarray:
@@ -338,8 +391,7 @@ def make_discrete_hvm(psi_probs, z_given_psi) -> HierarchicalModel:
     log_psi = _safe_log(psi_probs)
     log_cond = _safe_log(z_given_psi)           # (s, t)
 
-    def sample_psi(x, rng, t):
-        rows = x.shape[0]
+    def sample_psi(x, rows, rng, t):
         return np.array([rng.categorical(psi_probs) for _ in range(rows)], dtype=np.int64)
 
     def sample_z(psi, x, rng, t):
@@ -431,15 +483,10 @@ def prior_tau(model: HierarchicalModel) -> AuxiliaryInference:
         return model.log_psi_prior(psi, x, t)
 
     def sample(z, x, k, rng, t):
-        if model.discrete:
-            rows = np.asarray(z).shape[0]
-            return np.concatenate(
-                [np.array([rng.categorical(model.finite.psi_probs) for _ in range(rows)],
-                          dtype=np.int64) for _ in range(k)], axis=0)
-        xk = np.tile(x, (k, 1))
-        return model.sample_psi(xk, rng, t)
+        return model.sample_psi(x, k * n_rows(z, t), rng, t)
 
-    return AuxiliaryInference(log_prob=log_prob, sample=sample, discrete=model.discrete)
+    return AuxiliaryInference(log_prob=log_prob, sample=sample, discrete=model.discrete,
+                              prior_of=model)
 
 
 # ---------------------------------------------------------------------------
@@ -457,8 +504,8 @@ def make_laplace_scale_mixture(dim: int) -> HierarchicalModel:
         raise ValueError("dim must be >= 1")
     half = dists.exponential(0.5)
 
-    def sample_psi(x, rng, t):
-        return t.const(rng.exponential(0.5, (x.shape[0], dim)))
+    def sample_psi(x, rows, rng, t):
+        return t.const(rng.exponential(0.5, (rows, dim)))
 
     def sample_z(psi, x, rng, t):
         eps = rng.normal(np.shape(t.val(psi)))
@@ -527,8 +574,8 @@ def make_snr_task(store: ParamStore | None = None, rng: RngStream | None = None)
         store.add("snr.A", (rng.uniform((SNR_DIM, SNR_DIM)) * 2 - 1) * 0.3)
         store.add("snr.b", (rng.uniform((SNR_DIM,)) * 2 - 1) * 0.3)
 
-    def sample_psi(x, rng_, t):
-        return t.const(theta + rng_.normal((x.shape[0], SNR_DIM)))
+    def sample_psi(x, rows, rng_, t):
+        return t.const(theta + rng_.normal((rows, SNR_DIM)))
 
     def sample_z(psi, x, rng_, t):
         return t.add(psi, t.const(rng_.normal(np.shape(t.val(psi)))))
@@ -611,14 +658,17 @@ def make_mini_vae(input_dim: int = 784, z_dim: int = 8, psi_dim: int = 8,
     std_norm = dists.normal(0.0, 1.0)
 
     def log_lik(x, z, t):
-        out = dec.apply(t, z)
-        return dists.log_prob(dists.bernoulli(logits=out["logits"]), t.const(x), t)
+        logits = dec.apply(t, z)["logits"]                     # (n*B, input_dim)
+        x = np.asarray(x, dtype=np.float64)
+        n = sample_blocks(n_rows(logits, t), x.shape[0])
+        blocks = t.reshape(logits, (n,) + x.shape)             # x broadcasts over n
+        return t.reshape(dists.log_prob(dists.bernoulli(logits=blocks), x, t), (-1,))
 
     gen = Generative(log_lik=log_lik,
                      prior=ExplicitPrior(log_prob=lambda z, t: dists.log_prob(std_norm, z, t)))
 
-    def sample_psi(x, rng_, t):
-        return t.const(rng_.normal((x.shape[0], psi_dim)))
+    def sample_psi(x, rows, rng_, t):
+        return t.const(rng_.normal((rows, psi_dim)))
 
     def enc_params(x, psi, t):
         out = enc.apply(t, np.asarray(x, dtype=np.float64), extra=psi)
@@ -640,9 +690,7 @@ def make_mini_vae(input_dim: int = 784, z_dim: int = 8, psi_dim: int = 8,
                           log_psi_prior=log_psi_prior, log_z_given_psi=log_z_given_psi)
 
     def tau_params(z, x, t, stop_params):
-        zn = z if isinstance(z, NodeId) else t.const(z)
-        inp = t.concat([t.const(np.asarray(x, dtype=np.float64)), zn], axis=1)
-        out = tau_net.apply(t, inp, frozen=stop_params)
+        out = tau_net.apply(t, z, x=np.asarray(x, dtype=np.float64), frozen=stop_params)
         return out["mean"], out["stddev"]
 
     tau = conditional_tau(tau_params, dists.normal, tau_net.param_names())

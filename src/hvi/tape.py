@@ -242,6 +242,13 @@ def _register_ops():
         return [g.reshape((n,) + v[0].shape).sum(axis=0)]
 
     _op("tile_rows")((lambda v, aux: np.tile(v[0], (aux,) + (1,) * (v[0].ndim - 1)), _tile_bwd))
+
+    def _slice_rows_bwd(g, v, out, aux):
+        full = np.zeros(v[0].shape)
+        full[aux[0]:aux[1]] = g
+        return [full]
+
+    _op("slice_rows")((lambda v, aux: v[0][aux[0]:aux[1]], _slice_rows_bwd))
     _op("stop_gradient")((lambda v, aux: v[0], lambda g, v, out, aux: [None]))
     # aux = (sample, d_conc, d_rate): partials cached at sample time.
     _op("gamma_sample")((lambda v, aux: aux[0],
@@ -417,6 +424,10 @@ class Tape:
     def tile_rows(self, a, n: int):
         """Stack ``n`` copies of ``a`` along a new leading-row block."""
         return self.record("tile_rows", (self._lift(a),), aux=int(n))
+
+    def slice_rows(self, a, start: int, stop: int):
+        """Rows ``start:stop`` of ``a``; a view, not a copy."""
+        return self.record("slice_rows", (self._lift(a),), aux=(int(start), int(stop)))
 
     def stop_gradient(self, a):
         return self.record("stop_gradient", (self._lift(a),))

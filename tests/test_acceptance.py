@@ -82,7 +82,7 @@ def _fixed_tau(log_table, draws_k_major):
 
 def _fixed_model(model, psi0, z):
     return replace(model,
-                   sample_psi=lambda x, rng, t: psi0,
+                   sample_psi=lambda x, rows, rng, t: psi0,
                    sample_z=lambda psi, x, rng, t: z)
 
 

@@ -39,11 +39,11 @@ def gaussian_wrap(mean, std, dim=1):
     target = dists.normal(mean, std)
     dummy = dists.normal(0.0, 1.0)
 
-    def sample_psi(x, rng, t):
-        return t.const(rng.normal((x.shape[0], dim)))
+    def sample_psi(x, rows, rng, t):
+        return t.const(rng.normal((rows, dim)))
 
     def sample_z(psi, x, rng, t):
-        return t.const(mean + std * rng.normal((x.shape[0], dim)))
+        return t.const(mean + std * rng.normal((np.shape(t.val(psi))[0], dim)))
 
     def log_psi_prior(psi, x, t):
         return dists.log_prob(dummy, psi, t)
@@ -233,6 +233,41 @@ class TestHierarchicalElbos:
         pz = np.array([p_model.finite.marginal(z) for z in range(2)])
         exact = oracle.exact_expected_elbo(gen, TWO_POINT, tau, rho, M=1, K=1, L=2)
         assert exact <= true_log_px([0.3, 0.6], pz) + 1e-10
+
+
+def _tiled_x_nodes(t: Tape, x: np.ndarray) -> list:
+    """Tape nodes whose leading x_dim columns repeat x over n > 1 row blocks."""
+    B, D = x.shape
+    bad = []
+    for i, v in enumerate(t.values):
+        v = np.asarray(v)
+        if v.ndim == 2 and v.shape[0] > B and v.shape[0] % B == 0 and v.shape[1] >= D:
+            if np.array_equal(v[:, :D], np.tile(x, (v.shape[0] // B, 1))):
+                bad.append((i, t._ops[i], v.shape))
+    return bad
+
+
+class TestSampleLayout:
+    def test_no_estimator_tiles_x(self):
+        # The decoder's logits legitimately have n*B rows and x_dim columns;
+        # what must never appear is x itself (or a concat led by it) repeated
+        # over the sample blocks.
+        from hvi.models import make_mini_vae
+        vae = make_mini_vae(10, 3, 3, (6,), RngStream(1))
+        x = (np.random.default_rng(0).random((4, 10)) < 0.4).astype(float)
+        t = Tape()
+        diwhvi_elbo(vae.gen, vae.q, vae.tau, None, x, BoundConfig(M=3, K=4), RngStream(2), t)
+        assert len(t) > 0 and _tiled_x_nodes(t, x) == []
+        for variant in ("SIVI_LIKE", "SIVI_EQUICOMP", "SIVI_EQUISAMPLE", "DIWHVI_EVAL"):
+            t = Tape()
+            eval_variants(vae.gen, vae.q, vae.tau, x, 3, 4, variant, RngStream(3), t)
+            assert _tiled_x_nodes(t, x) == [], variant
+
+    def test_guard_flags_a_tiled_x(self):
+        x = (np.random.default_rng(0).random((4, 10)) < 0.4).astype(float)
+        t = Tape()
+        t.concat([t.const(np.tile(x, (3, 1))), t.const(np.ones((12, 2)))], axis=1)
+        assert [op for _, op, _ in _tiled_x_nodes(t, x)] == ["const", "concat"]
 
 
 class TestEvalVariants:

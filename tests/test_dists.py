@@ -55,6 +55,21 @@ class TestLogProb:
             assert a == pytest.approx(b, abs=1e-12)
             assert a == pytest.approx(math.log(p if v else 1 - p), abs=1e-12)
 
+    def test_bernoulli_logits_form_and_gradient_across_range(self):
+        # x*l - softplus(l) against x*log sigmoid(l) + (1-x)*log sigmoid(-l),
+        # for |l| up to 700 and grey-level x, with no floating-point warning.
+        l = np.concatenate([np.linspace(-700, 700, 141), np.linspace(-40, 40, 321)])
+        for level in (0.0, 1.0, 0.3):
+            x = np.full_like(l, level)
+            want = x * sps.log_expit(l) + (1.0 - x) * sps.log_expit(-l)
+            with np.errstate(over="raise", invalid="raise", divide="raise"):
+                t = Tape()
+                leaf = t.leaf(l)
+                out = dists.log_prob(dists.bernoulli(logits=leaf), x, t)
+                g = np.asarray(backward(t, t.sum(out))[leaf])
+            np.testing.assert_allclose(t.val(out), want, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(g, x - sps.expit(l), rtol=1e-12, atol=1e-15)
+
     def test_support_violations_raise(self):
         with pytest.raises(ValueError):
             lp(dists.gamma(2, 1), -0.5)

@@ -135,8 +135,8 @@ class TestDreg:
         from hvi import dists as D
         from hvi.models import AuxiliaryInference, HierarchicalModel
 
-        def sample_psi(x, rng, t):
-            return t.const(theta + rng.normal((x.shape[0], 1)))
+        def sample_psi(x, rows, rng, t):
+            return t.const(theta + rng.normal((rows, 1)))
 
         def sample_z(psi, x, rng, t):
             return t.add(psi, t.const(rng.normal(np.shape(t.val(psi)))))

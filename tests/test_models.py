@@ -341,6 +341,73 @@ class TestMiniVae:
         assert np.mean(vals[-10:]) > np.mean(vals[:10]) + 1.0
 
 
+def _reference_gaussian(t, store, prefix, inputs, extra=None, layers=2):
+    """The mini VAE's gated Gaussian MLPs on materialized rows: every layer is
+    concat([h, extra]) @ w + b, the first one on x already tiled."""
+    def p(name):
+        return t.param(store, f"{prefix}.{name}")
+
+    def joined(h):
+        return h if extra is None else t.concat([h, extra], axis=1)
+
+    h = t.const(inputs)
+    for i in range(layers):
+        h = t.softplus(t.add(t.matmul(joined(h), p(f"w{i}")), p(f"b{i}")))
+    h = joined(h)
+    gate = t.sigmoid(t.add(t.matmul(h, p("w_gate")), p("b_gate")))
+    mean = t.add(t.matmul(h, p("w_mean")), p("b_mean"))
+    std = t.add(t.softplus(t.add(t.matmul(h, p("w_stddev")), p("b_stddev"))), 1e-6)
+    return (t.mul(gate, mean),
+            t.add(t.mul(gate, std), t.sub(1.0, gate)))
+
+
+class TestSampleLayout:
+    """x keeps its B rows; conditionals broadcast x-only features over n blocks."""
+
+    @staticmethod
+    def _case(n=5):
+        vae = make_mini_vae(12, 3, 4, (8, 8), RngStream(1))
+        g = np.random.default_rng(2)
+        for name in vae.store.names():       # open the gates, move off the init
+            vae.store[name] = vae.store[name] + 0.3 * g.standard_normal(vae.store[name].shape)
+        x = (g.random((4, 12)) < 0.4).astype(float)
+        psi = g.standard_normal((n * 4, 4))
+        z = g.standard_normal((n * 4, 3))
+        return vae, x, psi, z
+
+    def test_hoisted_densities_and_gradients_match_tiled_reference(self):
+        vae, x, psi, z = self._case()
+        t = Tape()
+        lq = vae.q.log_z_given_psi(t.const(z), t.const(psi), x, t)
+        lt = vae.tau.log_prob(t.const(psi), t.const(z), x, t)
+        got = t.param_grads(t.backward(t.add(t.sum(lq), t.sum(lt))))
+
+        r = Tape()
+        x_tiled = np.tile(x, (5, 1))
+        mean, std = _reference_gaussian(r, vae.store, "enc", x_tiled, extra=r.const(psi))
+        ref_lq = dists.log_prob(dists.normal(mean, std), r.const(z), r)
+        mean, std = _reference_gaussian(r, vae.store, "tau", np.concatenate([x_tiled, z], axis=1))
+        ref_lt = dists.log_prob(dists.normal(mean, std), r.const(psi), r)
+        want = r.param_grads(r.backward(r.add(r.sum(ref_lq), r.sum(ref_lt))))
+
+        np.testing.assert_allclose(t.val(lq), r.val(ref_lq), rtol=1e-12)
+        np.testing.assert_allclose(t.val(lt), r.val(ref_lt), rtol=1e-12)
+        assert set(got) == set(want)
+        for name in want:
+            np.testing.assert_allclose(got[name], want[name], rtol=1e-12,
+                                       atol=1e-12 * np.max(np.abs(want[name])), err_msg=name)
+
+    def test_sample_rows_must_be_a_multiple_of_x_rows(self):
+        vae, x, psi, z = self._case()
+        t = Tape(requires_grad=False)
+        psi6, z6 = t.const(psi[:6]), t.const(z[:6])
+        for call in (lambda: vae.q.log_z_given_psi(z6, psi6, x, t),
+                     lambda: vae.tau.log_prob(psi6, z6, x, t),
+                     lambda: vae.gen.log_lik(x, z6, t)):
+            with pytest.raises(ValueError, match=r"\b6 sample rows .* 4 rows of x"):
+                call()
+
+
 class TestCheckpoints:
     def test_round_trip_bit_exact(self, tmp_path):
         store = ParamStore()

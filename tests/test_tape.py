@@ -240,6 +240,34 @@ def test_reduction_and_layout_ops_backward():
         assert g[idx] == pytest.approx(fd, rel=1e-4, abs=1e-6)
 
 
+def test_slice_rows_backward_matches_central_differences():
+    rng = np.random.default_rng(9)
+    X = rng.standard_normal((5, 3))
+    W = rng.standard_normal((3, 3))
+
+    def build(x_val):
+        t = Tape()
+        x = t.leaf(x_val)
+        top = t.slice_rows(x, 0, 2)                        # overlaps mid at row 1
+        mid = t.slice_rows(x, 1, 4)
+        out = t.add(t.sum(t.logsumexp(t.matmul(mid, t.const(W)), axis=1)),
+                    t.sum(t.mul(top, top)))
+        return t, x, out
+
+    t, x, out = build(X)
+    np.testing.assert_array_equal(t.val(t.slice_rows(x, 1, 4)), X[1:4])
+    g = grad_of(t, out, x)
+    assert np.all(g[4] == 0.0)
+    for idx in [(0, 0), (1, 2), (3, 1), (4, 0)]:
+        Xp, Xm = X.copy(), X.copy()
+        Xp[idx] += FD_STEP
+        Xm[idx] -= FD_STEP
+        tp, _, op_ = build(Xp)
+        tm, _, om = build(Xm)
+        fd = (float(tp.val(op_)) - float(tm.val(om))) / (2 * FD_STEP)
+        assert g[idx] == pytest.approx(fd, rel=1e-4, abs=1e-6)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.floats(-30, 30), min_size=1, max_size=8),
        st.floats(-700, 700))
