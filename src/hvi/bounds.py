@@ -23,7 +23,7 @@ import numpy as np
 
 from .models import (AuxiliaryInference, ExplicitPrior, Generative, HierarchicalModel,
                      HierarchicalPrior, UnsupportedModelError, cat_rows, log_joint, n_rows,
-                     prior_tau, rep_rows, sample_joint)
+                     prior_tau, rep_rows, sample_joint, with_first)
 from .rng import RngStream
 from .tape import NodeId, Tape
 
@@ -85,39 +85,33 @@ def _finish(t: Tape, node, log_weights_node, rows_axis_vals=None, diagnostics=No
 # Marginal log density bounds
 # ---------------------------------------------------------------------------
 
-def _denominator(q, tau, z, psi0, x, K, rng, t, counter=None, w_inner=1.0,
-                 tau_stop_params=False):
-    """log[(1/(K+1)) sum_k q(z, psi_k | x) / tau(psi_k | z, x)] per row.
+def _iw_average(model: HierarchicalModel, aux: AuxiliaryInference, z, x, n: int,
+                rng: RngStream, t: Tape, first=None, w_inner=1.0, stop_params=False):
+    """log[(1/m) sum_j model(z, psi_j | x) / aux(psi_j | z, x)] per row.
 
-    Returns (per-row node, (K+1, rows) log-weight matrix node) over the rows
-    of z.  ``w_inner`` scales the log q(psi|x) - log tau(psi|z,x) part of each
-    weight (the inner KL warm-up used during training; 1 recovers the bound).
+    The psi_j are n draws from aux, preceded by ``first`` (the self-sample
+    psi_0) when given, so m is n or n + 1.  Each log weight is log model(z |
+    psi) + w_inner (log model(psi | x) - log aux(psi | z, x)); ``w_inner`` < 1
+    is the inner KL warm-up used during training, 1 gives the bound.
+    ``stop_params`` freezes aux's parameters (see ``AuxiliaryInference``).
+    Returns (per-row node, (m, rows) log-weight matrix node).
     """
     rows = n_rows(z, t)
-    if tau.sample_and_score is not None:
-        psis, ltau = tau.sample_and_score(z, x, K, psi0, rng, t, stop_params=tau_stop_params)
+    m = n + (first is not None)
+    if aux.prior_of is model:
+        # aux is model(psi | x) itself: the bracket is exactly 0, so draw from
+        # the model's psi sampler and leave both densities out.
+        psis = with_first(first, model.sample_psi(x, n * rows, rng, t) if n > 0 else None, t)
     else:
-        if K > 0:
-            psis = cat_rows([psi0, tau.sample(z, x, K, rng, t)], t)
-        else:
-            psis = psi0
-        ltau = None
-    z_rep = rep_rows(z, K + 1, t)
-    if counter is not None:
-        counter["cond_evals"] = counter.get("cond_evals", 0) + (K + 1) * rows
-    lw = q.log_z_given_psi(z_rep, psis, x, t)
-    # tau = q(psi | x): log q(psi | x) - log tau is exactly 0, so skip both.
-    if tau.prior_of is not q:
-        lpsi = q.log_psi_prior(psis, x, t)
-        if ltau is None:
-            ltau = tau.log_prob(psis, z_rep, x, t, stop_params=tau_stop_params)
-        inner = t.sub(lpsi, ltau)
+        psis, laux = aux.sample_and_score(z, x, n, first, rng, t, stop_params=stop_params)
+    lw = model.log_z_given_psi(rep_rows(z, m, t), psis, x, t)
+    if aux.prior_of is not model:
+        inner = t.sub(model.log_psi_prior(psis, x, t), laux)
         if w_inner != 1.0:
             inner = t.mul(float(w_inner), inner)
         lw = t.add(lw, inner)
-    lw_mat = t.reshape(lw, (K + 1, rows))
-    den = t.sub(t.logsumexp(lw_mat, axis=0), float(np.log(K + 1)))
-    return den, lw_mat
+    lw_mat = t.reshape(lw, (m, rows))
+    return t.logmeanexp(lw_mat, axis=0), lw_mat
 
 
 def upper_bound_U(q: HierarchicalModel, tau: AuxiliaryInference, z, x, K: int,
@@ -136,9 +130,8 @@ def upper_bound_U(q: HierarchicalModel, tau: AuxiliaryInference, z, x, K: int,
         raise UnsupportedModelError(
             "standalone upper bound needs exact posterior sampling over psi")
     psi0 = q.sample_psi_posterior(z, x, rng, t)
-    den, lw_mat = _denominator(q, tau, z, psi0, x, K, rng, t)
-    val = t.mean(den)
-    return _finish(t, val, lw_mat, den)
+    den, lw_mat = _iw_average(q, tau, z, x, K, rng, t, first=psi0)
+    return _finish(t, t.mean(den), lw_mat, den)
 
 
 def upper_bound_U_joint(q, tau, x, K, rng, t: Tape | None = None):
@@ -149,27 +142,8 @@ def upper_bound_U_joint(q, tau, x, K, rng, t: Tape | None = None):
     if t is None:
         t = Tape(requires_grad=False)
     psi0, z = sample_joint(q, x, rng, t)
-    den, lw_mat = _denominator(q, tau, z, psi0, x, K, rng, t)
-    val = t.mean(den)
-    return _finish(t, val, lw_mat, den), z
-
-
-def _iw_average(model: HierarchicalModel, aux: AuxiliaryInference, z, x, n: int,
-                rng: RngStream, t: Tape, first=None):
-    """log[(1/m) sum_j model(z, psi_j | x) / aux(psi_j | z, x)] per row.
-
-    The psi_j are n draws from aux, preceded by ``first`` when given, so m is
-    n or n + 1.  Returns (per-row node, (m, rows) log-weight matrix node).
-    """
-    if first is None:
-        psis = aux.sample(z, x, n, rng, t)
-    else:
-        psis = cat_rows([first, aux.sample(z, x, n, rng, t)], t) if n > 0 else first
-        n += 1
-    z_rep = rep_rows(z, n, t)
-    lw = t.sub(log_joint(model, z_rep, psis, x, t), aux.log_prob(psis, z_rep, x, t))
-    lw_mat = t.reshape(lw, (n, n_rows(z, t)))
-    return t.sub(t.logsumexp(lw_mat, axis=0), float(np.log(n))), lw_mat
+    den, lw_mat = _iw_average(q, tau, z, x, K, rng, t, first=psi0)
+    return _finish(t, t.mean(den), lw_mat, den), z
 
 
 def lower_bound_L(q: HierarchicalModel, tau: AuxiliaryInference, z, x, K: int,
@@ -210,10 +184,9 @@ def diwhvi_elbo(gen: Generative, q: HierarchicalModel, tau: AuxiliaryInference,
         t = Tape(requires_grad=False)
     M, K, L = config.M, config.K, config.L
     B = x.shape[0]
-    counter: dict = {}
     psi0, z = sample_joint(q, x, rng, t, rows=M * B)
-    den, lw_mat = _denominator(q, tau, z, psi0, x, K, rng, t, counter, w_inner=w_inner,
-                               tau_stop_params=tau_stop_params)
+    den, lw_mat = _iw_average(q, tau, z, x, K, rng, t, first=psi0, w_inner=w_inner,
+                              stop_params=tau_stop_params)
     lik = gen.log_lik(x, z, t)
     pterm = _prior_term(gen.prior, rho, z, x, L, rng, t)
     gap = t.sub(pterm, den)
@@ -221,11 +194,9 @@ def diwhvi_elbo(gen: Generative, q: HierarchicalModel, tau: AuxiliaryInference,
         gap = t.mul(float(w_outer), gap)
     ratio = t.add(lik, gap)                       # (M*B,)
     r_mat = t.reshape(ratio, (M, B))
-    per_x = t.sub(t.logsumexp(r_mat, axis=0), float(np.log(M)))
-    counter["cond_evals"] = counter.get("cond_evals", 0) // B
-    est = _finish(t, t.mean(per_x), r_mat if M > 1 else lw_mat, per_x, counter)
-    est.diagnostics["denominator_log_weights"] = np.asarray(t.val(lw_mat))
-    return est
+    per_x = t.logmeanexp(r_mat, axis=0)
+    return _finish(t, t.mean(per_x), r_mat if M > 1 else lw_mat, per_x,
+                   {"cond_evals": M * (K + 1)})
 
 
 def iwhvi_elbo(gen, q, tau, rho, x, config: BoundConfig, rng, t=None, **kw) -> Estimate:
@@ -261,12 +232,12 @@ def sivi_reused(gen: Generative, q: HierarchicalModel, x, M: int, K: int,
     z_rep = rep_rows(z, K + 1, t)
     lcond = q.log_z_given_psi(z_rep, psis, x, t)
     lw_mat = t.reshape(lcond, (K + 1, M * B))
-    den = t.sub(t.logsumexp(lw_mat, axis=0), float(np.log(K + 1)))
+    den = t.logmeanexp(lw_mat, axis=0)
     ratio = t.add(gen.log_lik(x, z, t), t.sub(gen.prior.log_prob(z, t), den))
     r_mat = t.reshape(ratio, (M, B))
-    per_x = t.sub(t.logsumexp(r_mat, axis=0), float(np.log(M)))
-    diag = {"cond_evals": M * (K + 1), "psi_samples": M + K}
-    return _finish(t, t.mean(per_x), r_mat if M > 1 else lw_mat, per_x, diag)
+    per_x = t.logmeanexp(r_mat, axis=0)
+    return _finish(t, t.mean(per_x), r_mat if M > 1 else lw_mat, per_x,
+                   {"cond_evals": M * (K + 1)})
 
 
 EVAL_VARIANTS = ("SIVI_LIKE", "SIVI_EQUICOMP", "SIVI_EQUISAMPLE", "DIWHVI_EVAL")
@@ -308,7 +279,7 @@ def kl_upper_bound(q: HierarchicalModel, prior, tau, rho, x, K: int, L: int,
     if t is None:
         t = Tape(requires_grad=False)
     psi0, z = sample_joint(q, x, rng, t)
-    num, lw_mat = _denominator(q, tau, z, psi0, x, K, rng, t)
+    num, lw_mat = _iw_average(q, tau, z, x, K, rng, t, first=psi0)
     den = _prior_term(prior, rho, z, x, L, rng, t)
     per = t.sub(num, den)
     return _finish(t, t.mean(per), lw_mat, per)
@@ -349,10 +320,8 @@ def omega_sample(model: HierarchicalModel, tau: AuxiliaryInference, z, x, K: int
     pick to the front.  Returns the reordered draws as a list."""
     t = Tape(requires_grad=False)
     rows = n_rows(z, t)
-    draws = tau.sample(z, x, K + 1, rng, t)
-    z_rep = rep_rows(z, K + 1, t)
-    lw = t.val(t.sub(log_joint(model, z_rep, draws, x, t),
-                     tau.log_prob(draws, z_rep, x, t)))
+    draws, ltau = tau.sample_and_score(z, x, K + 1, None, rng, t)
+    lw = t.val(t.sub(log_joint(model, rep_rows(z, K + 1, t), draws, x, t), ltau))
     lw = np.asarray(lw).reshape(K + 1, rows)
     draws_v = t.val(draws) if isinstance(draws, NodeId) else np.asarray(draws)
     draws_v = draws_v.reshape((K + 1, rows) + draws_v.shape[1:])
@@ -389,7 +358,7 @@ def jackknife_U(q: HierarchicalModel, tau: AuxiliaryInference, z, x, K: int, J: 
     if q.sample_psi_posterior is None:
         raise UnsupportedModelError("jackknife_U needs exact posterior sampling")
     psi0 = q.sample_psi_posterior(z, x, rng, t)
-    _, lw_mat = _denominator(q, tau, z, psi0, x, K, rng, t)
+    _, lw_mat = _iw_average(q, tau, z, x, K, rng, t, first=psi0)
     lw = np.asarray(t.val(lw_mat))                    # (K+1, rows)
     rows = lw.shape[1]
     total = np.zeros(rows)
@@ -422,6 +391,6 @@ def expected_kl_tau_prior(q: HierarchicalModel, tau: AuxiliaryInference, x,
     t = Tape(requires_grad=False)
     reps = max(1, n_samples // max(1, x.shape[0]))
     _, z = sample_joint(q, x, rng, t, rows=reps * x.shape[0])
-    psis = tau.sample(z, x, 1, rng, t)
-    diff = t.sub(tau.log_prob(psis, z, x, t), q.log_psi_prior(psis, x, t))
+    psis, ltau = tau.sample_and_score(z, x, 1, None, rng, t)
+    diff = t.sub(ltau, q.log_psi_prior(psis, x, t))
     return float(np.mean(np.asarray(t.val(diff))))

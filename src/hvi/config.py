@@ -24,7 +24,6 @@ class ExperimentConfig:
     seed: int = 0
     k: int = 10
     m: int = 1
-    l: int = 1
     j: int = 1
     k_list: list = field(default_factory=list)      # sweep lists; empty -> [k]
     m_list: list = field(default_factory=list)
@@ -68,8 +67,12 @@ class ExperimentConfig:
                               f"choose one of {', '.join(EXPERIMENTS)}")
         if self.seed < 0 or self.seed > 2 ** 64 - 1:
             raise ConfigError("seed must fit in u64")
-        if self.k < 0 or self.m < 1 or self.l < 1 or self.j < 0:
-            raise ConfigError("require k >= 0, m >= 1, l >= 1, j >= 0")
+        if self.k < 0 or self.m < 1 or self.j < 0:
+            raise ConfigError("require k >= 0, m >= 1, j >= 0")
+        if any(k < 0 for k in self.k_list):
+            raise ConfigError("k_list entries must be >= 0")
+        if any(m < 1 for m in self.m_list):
+            raise ConfigError("m_list entries must be >= 1")
         if self.estimator not in ("autodiff", "dreg"):
             raise ConfigError(f"unknown estimator {self.estimator!r}")
         if self.binarization not in ("dynamic", "fixed"):
@@ -78,7 +81,10 @@ class ExperimentConfig:
             starts = [e for e, _ in self.k_schedule]
             if starts != sorted(set(starts)):
                 raise ConfigError("k_schedule epochs must be strictly increasing")
-        for name in ("replicates", "steps", "batch_size", "epochs", "eval_runs"):
+            if any(k < 0 for _, k in self.k_schedule):
+                raise ConfigError("k_schedule K values must be >= 0")
+        for name in ("replicates", "steps", "batch_size", "epochs", "eval_runs", "eval_every",
+                     "eval_draws", "final_eval_draws", "eval_images", "dim", "z_dim", "psi_dim"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
         if not 0 <= self.val_fraction < 1:

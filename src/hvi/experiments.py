@@ -98,11 +98,7 @@ def run_toy_laplace(cfg: ExperimentConfig) -> CsvWriter:
             for step in range(1, cfg.steps + 1):
                 t = Tape()
                 est, _ = upper_bound_U_joint(model, tau, xb, K, rng, t)
-                grads = t.param_grads(t.backward(est.node))
-                store.zero_grads()
-                for name, g in grads.items():
-                    store.grads[name] += g
-                opt.step()
+                opt.descend(t.param_grads(t.backward(est.node)))
                 if step % cfg.eval_every == 0 and step != cfg.steps:
                     record_point(step, cfg.eval_draws)
             record_point(cfg.steps, cfg.final_eval_draws)
@@ -127,11 +123,7 @@ def train_snr_tau(cfg: ExperimentConfig, store: ParamStore, model, tau, rng: Rng
     for _ in range(cfg.steps):
         t = Tape()
         est = diwhvi_elbo(gen, model, tau, None, xb, BoundConfig(M=1, K=cfg.train_k), rng, t)
-        grads = t.param_grads(t.backward(t.neg(est.node)))
-        store.zero_grads()
-        for name, g in grads.items():
-            store.grads[name] += g
-        opt.step()
+        opt.descend(t.param_grads(t.backward(t.neg(est.node))))
 
 
 def snr_grad_fn(kind: str, gen, model, tau, store, batch: int, K: int):
@@ -261,16 +253,13 @@ def run_vae(cfg: ExperimentConfig) -> CsvWriter:
                               w_inner=w_inner, w_outer=w_outer,
                               tau_stop_params=(cfg.estimator == "dreg"))
             grads = t.param_grads(t.backward(t.neg(est.node)))
-            store.zero_grads()
-            for name, g in grads.items():
-                store.grads[name] += g
             if cfg.estimator == "dreg":
                 rng_b = train_root.split(step_counter)   # same stream: same draws
                 dreg = grad_iwhvi_dreg(vae.gen, vae.q, vae.tau, xb,
                                        BoundConfig(M=cfg.m, K=K), store, rng_b)
                 for name, g in dreg.grads.items():
-                    store.grads[name] -= g               # ascent on the ELBO
-            opt.step()
+                    grads[name] = grads[name] - g        # ascent on the ELBO
+            opt.descend(grads)
             bounds_seen.append(est.value)
         out.add(experiment=cfg.experiment, seed=cfg.seed, step=epoch, K=K, M=cfg.m,
                 estimator=cfg.estimator, metric="train_bound", value=float(np.mean(bounds_seen)))
@@ -334,12 +323,7 @@ def refit_tau(cfg: ExperimentConfig, vae: MiniVae, train: np.ndarray, rng: RngSt
             t = Tape()
             est = diwhvi_elbo(vae.gen, vae.q, vae.tau, None, xb,
                               BoundConfig(M=1, K=max(cfg.k, 1)), rng.split(1000000 + ctr), t)
-            grads = t.param_grads(t.backward(t.neg(est.node)))
-            vae.store.zero_grads()
-            for name, g in grads.items():
-                if name.startswith("tau."):
-                    vae.store.grads[name] += g
-            opt.step()
+            opt.descend(t.param_grads(t.backward(t.neg(est.node))))
 
 
 def run_vae_eval(cfg: ExperimentConfig) -> CsvWriter:

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import special
 from .bounds import BoundConfig
 from .models import (AuxiliaryInference, ExplicitPrior, Generative, HierarchicalModel,
                      UnsupportedModelError, log_joint, rep_rows, sample_joint)
@@ -37,13 +38,6 @@ def grad_autodiff(build, store: ParamStore, rng: RngStream,
     gmap = t.backward(obj)
     grads = {n: g for n, g in t.param_grads(gmap).items() if n.startswith(param_prefix)}
     return GradEstimate(grads=grads, estimator="AUTODIFF")
-
-
-def _softmax_cols(a: np.ndarray, axis=0) -> np.ndarray:
-    m = np.max(a, axis=axis, keepdims=True)
-    m = np.where(np.isfinite(m), m, 0.0)
-    e = np.exp(a - m)
-    return e / np.sum(e, axis=axis, keepdims=True)
 
 
 def grad_iwhvi_dreg(gen: Generative, q: HierarchicalModel, tau: AuxiliaryInference,
@@ -85,11 +79,11 @@ def grad_iwhvi_dreg(gen: Generative, q: HierarchicalModel, tau: AuxiliaryInferen
 
     lik = np.asarray(t.val(gen.log_lik(x, z, t)))
     lpz = np.asarray(t.val(gen.prior.log_prob(z, t)))
-    den = _logsumexp_np(lw_all, axis=0) - np.log(K + 1)
+    den = special.logsumexp(lw_all, axis=0) - np.log(K + 1)
     r = (lik + lpz - den).reshape(M, B)
 
-    sga = _softmax_cols(r, axis=0).reshape(M * B)        # softmax over replicas
-    sgb = _softmax_cols(lw_all, axis=0)                  # softmax over k terms
+    sga = special.softmax(r, axis=0).reshape(M * B)      # softmax over replicas
+    sgb = special.softmax(lw_all, axis=0)                # softmax over k terms
     scale = 1.0 / B                                      # objective is a batch mean
 
     total = None
@@ -109,13 +103,6 @@ def grad_iwhvi_dreg(gen: Generative, q: HierarchicalModel, tau: AuxiliaryInferen
     for name in tau.param_names:
         out[name] = grads.get(name, np.zeros_like(store[name]))
     return GradEstimate(grads=out, estimator="IWHVI_DREG")
-
-
-def _logsumexp_np(a, axis=0):
-    m = np.max(a, axis=axis, keepdims=True)
-    m = np.where(np.isfinite(m), m, 0.0)
-    with np.errstate(divide="ignore"):
-        return np.squeeze(m, axis=axis) + np.log(np.sum(np.exp(a - m), axis=axis))
 
 
 # ---------------------------------------------------------------------------

@@ -38,6 +38,17 @@ class Adam:
                 v_hat = self._v[n] / (1 - b2 ** self._t)
             self.store[n] = self.store[n] - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
-    def zero_grads(self) -> None:
+    def descend(self, grads: dict) -> None:
+        """One step down ``grads``, a block name -> loss gradient map.
+
+        Each of this optimizer's blocks gets its entry of ``grads`` (0 when
+        absent; other names are ignored) before ``step``.  A NaN or inf
+        gradient raises FloatingPointError naming its block, with the
+        parameters and the moments unchanged.
+        """
         for n in self.names:
-            self.store.grads[n][...] = 0.0
+            if n in grads and not np.all(np.isfinite(grads[n])):
+                raise FloatingPointError(f"non-finite gradient in parameter block {n!r}")
+        for n in self.names:
+            self.store.grads[n][...] = grads.get(n, 0.0)
+        self.step()

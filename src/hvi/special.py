@@ -1,8 +1,9 @@
 """Special functions on float64 numpy arrays.
 
-Everything here is elementwise and vectorized; scalars go in, 0-d arrays come
-out.  Accuracy targets ~1e-12 relative, which is what the Gamma densities and
-the implicit reparameterization gradients need.
+Everything here is vectorized and, except the axis reductions ``logsumexp``
+and ``softmax``, elementwise; scalars go in, 0-d arrays come out.  Accuracy
+targets ~1e-12 relative, which is what the Gamma densities and the implicit
+reparameterization gradients need.
 
 The incomplete gamma function has one kernel, ``gammainc_sums``: the series
 and continued fraction without their x^a e^-x / Gamma(a) prefactor, each with
@@ -113,6 +114,25 @@ def inv_softplus(y):
     """Inverse of softplus for y > 0."""
     y = _as_f64(y)
     return y + np.log(-np.expm1(-y))
+
+
+def _finite_max(a, axis):
+    # Shift by the max, or by 0 where the max is infinite (all -inf, or +inf).
+    m = np.max(a, axis=axis, keepdims=True)
+    return np.where(np.isfinite(m), m, 0.0)
+
+
+def logsumexp(a, axis=None):
+    """log(sum(exp(a))) along ``axis`` (all axes when None), max-shifted."""
+    m = _finite_max(a, axis)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return np.squeeze(m, axis=axis) + np.log(np.sum(np.exp(a - m), axis=axis))
+
+
+def softmax(a, axis=None):
+    """exp(a) normalized along ``axis``; the gradient of ``logsumexp``."""
+    e = np.exp(a - _finite_max(a, axis))
+    return e / np.sum(e, axis=axis, keepdims=True)
 
 
 # Near x = a the series terms fall like exp(-n^2 / 2a), so the series needs

@@ -84,13 +84,6 @@ class ParamStore:
         for n in self.names(prefix):
             self.grads[n][...] = 0.0
 
-    def state_dict(self) -> dict[str, np.ndarray]:
-        return {n: v.copy() for n, v in self._blocks.items()}
-
-    def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
-        for n, v in state.items():
-            self[n] = np.array(v, dtype=np.float64)
-
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     """Sum an adjoint back down to ``shape`` after numpy broadcasting."""
@@ -116,13 +109,6 @@ def _op(name):
         _BACKWARD[name] = bwd
         return fns
     return deco
-
-
-def _softmax_from(values, axis):
-    m = np.max(values, axis=axis, keepdims=True)
-    m = np.where(np.isfinite(m), m, 0.0)
-    e = np.exp(values - m)
-    return e / np.sum(e, axis=axis, keepdims=True)
 
 
 def _check_positive(op, x):
@@ -203,23 +189,13 @@ def _register_ops():
 
     _op("sum")((lambda v, aux: np.sum(v[0], axis=aux), _sum_bwd))
 
-    def _lse_fwd(v, aux):
-        x, axis = v[0], aux
-        m = np.max(x, axis=axis, keepdims=True)
-        m = np.where(np.isfinite(m), m, 0.0)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            out = np.squeeze(m, axis=axis) if axis is not None else m.reshape(())
-            out = out + np.log(np.sum(np.exp(x - m), axis=axis))
-        return out
-
     def _lse_bwd(g, v, out, aux):
-        x, axis = v[0], aux
-        sm = _softmax_from(x, axis)
-        if axis is None:
+        sm = special.softmax(v[0], aux)
+        if aux is None:
             return [g * sm]
-        return [np.expand_dims(g, axis) * sm]
+        return [np.expand_dims(g, aux) * sm]
 
-    _op("logsumexp")((_lse_fwd, _lse_bwd))
+    _op("logsumexp")((lambda v, aux: special.logsumexp(v[0], aux), _lse_bwd))
     _op("dot")((lambda v, aux: v[0] @ v[1],
                 lambda g, v, out, aux: [g * v[1], g * v[0]]))
     _op("matvec")((lambda v, aux: v[0] @ v[1],

@@ -77,7 +77,7 @@ def _fixed_tau(log_table, draws_k_major):
     def sample(z, x, k, rng, t):
         return draws_k_major[:k * np.asarray(z).shape[0]]
 
-    return AuxiliaryInference(log_prob=log_prob, sample=sample, discrete=True)
+    return AuxiliaryInference(log_prob=log_prob, sample=sample)
 
 
 def _fixed_model(model, psi0, z):

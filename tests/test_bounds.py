@@ -12,11 +12,11 @@ from hvi.bounds import (BoundConfig, diwhvi_elbo, eval_variants,
                         omega_sample, sharot_coeff, sivi_elbo, sivi_reused,
                         upper_bound_U)
 from hvi.models import (AuxiliaryInference, ExplicitPrior, Generative,
-                        HierarchicalModel, HierarchicalPrior, UnsupportedModelError,
-                        make_discrete_hvm, make_laplace_scale_mixture, posterior_tau,
-                        prior_tau)
+                        HierarchicalModel, HierarchicalPrior, MlpCond, UnsupportedModelError,
+                        make_discrete_hvm, make_gamma_mlp_tau, make_laplace_scale_mixture,
+                        n_rows, posterior_tau, prior_tau, sample_joint)
 from hvi.rng import RngStream
-from hvi.tape import Tape
+from hvi.tape import ParamStore, Tape
 
 TWO_POINT = make_discrete_hvm([0.5, 0.5], [[0.8, 0.2], [0.2, 0.8]])
 X1 = np.zeros((1, 0))
@@ -487,7 +487,40 @@ def make_tau_all_zero_weight(m):
         zc = np.asarray(z, dtype=np.int64)
         return np.tile(np.argmax(table[zc], axis=1), k)
 
-    return AuxiliaryInference(log_prob=log_prob, sample=sample, discrete=True)
+    return AuxiliaryInference(log_prob=log_prob, sample=sample)
+
+
+class TestOneConditionerRun:
+    """Drawing from and scoring a conditional tau runs its conditioner once,
+    on the R rows of z, not again on the K R rows of the draws."""
+
+    @pytest.mark.parametrize("name", ["lower_bound_L", "kl_lower_bound", "omega_sample",
+                                      "expected_kl_tau_prior"])
+    def test_gamma_tau_conditioner_runs_once_on_r_rows(self, name, monkeypatch):
+        dim, R, K = 2, 4, 8
+        q = make_laplace_scale_mixture(dim)
+        tau = make_gamma_mlp_tau(dim, (8,), ParamStore(), RngStream(0))
+        x = np.zeros((R, 0))
+        t0 = Tape(requires_grad=False)
+        z = t0.val(sample_joint(q, x, RngStream(1), t0)[1])
+        rows = []
+        apply = MlpCond.apply
+
+        def counted(self, t, inputs, *args, **kwargs):
+            rows.append(n_rows(inputs, t))
+            return apply(self, t, inputs, *args, **kwargs)
+
+        monkeypatch.setattr(MlpCond, "apply", counted)
+        prior = HierarchicalPrior(model=gaussian_wrap(0.0, 1.0, dim))
+        run = {
+            "lower_bound_L": lambda: lower_bound_L(q, tau, z, x, K, RngStream(2)),
+            "kl_lower_bound": lambda: kl_lower_bound(q, prior, tau, wrap_tau(dim), x, K, 3,
+                                                     RngStream(2)),
+            "omega_sample": lambda: omega_sample(q, tau, z, x, K, RngStream(2)),
+            "expected_kl_tau_prior": lambda: expected_kl_tau_prior(q, tau, x, R, RngStream(2)),
+        }
+        run[name]()
+        assert rows == [R]
 
 
 class TestBoundConfig:

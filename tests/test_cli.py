@@ -45,6 +45,16 @@ class TestConfig:
             load_config(None, overrides={"experiment": "vae-train",
                                          "k_schedule": "10:2,5:0"})
 
+    @pytest.mark.parametrize("key, raw", [("eval_every", "0"), ("eval_draws", "0"),
+                                          ("final_eval_draws", "0"), ("k_list", "1,-1"),
+                                          ("m_list", "4,0"), ("k_schedule", "0:0,5:-2"),
+                                          ("eval_images", "0"), ("dim", "0"), ("z_dim", "0"),
+                                          ("psi_dim", "0")])
+    def test_out_of_range_value_is_config_error(self, key, raw):
+        # Each of these used to pass validation and crash mid-run.
+        with pytest.raises(ConfigError, match=key):
+            load_config(None, overrides={"experiment": "toy-laplace", key: raw})
+
     def test_k_at_epoch(self):
         cfg = ExperimentConfig(experiment="vae-train", k_schedule=[(0, 0), (10, 2), (25, 5)])
         assert [cfg.k_at_epoch(e) for e in (0, 9, 10, 24, 25, 99)] == [0, 0, 2, 2, 5, 5]

@@ -11,7 +11,8 @@ from hvi.bounds import BoundConfig, diwhvi_elbo
 from hvi.models import (HeadSpec, UnsupportedModelError, cat_rows, flat_generative,
                         init_mlp_cond, load_params, log_joint, make_discrete_hvm,
                         make_gamma_mlp_tau, make_laplace_scale_mixture, make_mini_vae,
-                        make_snr_task, posterior_tau, prior_tau, sample_joint, save_params)
+                        make_snr_task, posterior_tau, prior_tau, rep_rows, sample_joint,
+                        save_params)
 from hvi.rng import RngStream
 from hvi.tape import ParamStore, Tape
 
@@ -273,6 +274,21 @@ def _vae_case():
 TAU_CASES = {"gamma": _gamma_case, "snr": _snr_case, "vae": _vae_case}
 
 
+def assert_sample_and_score_matches_separate_paths(tau, z, x, psi0, k=2):
+    """sample_and_score with first = psi0 and first = None against sample,
+    then log_prob on [first; draws] with z and x repeated row-aligned."""
+    for first in (psi0, None):
+        n = k + (first is not None)
+        ta = Tape(requires_grad=False)
+        psis, lt = tau.sample_and_score(z, x, k, first, RngStream(9), ta)
+        tb = Tape(requires_grad=False)
+        draws = tau.sample(z, x, k, RngStream(9), tb)
+        psis_b = draws if first is None else cat_rows([first, draws], tb)
+        lt_b = tau.log_prob(psis_b, rep_rows(z, n, tb), np.tile(x, (n, 1)), tb)
+        np.testing.assert_allclose(ta.val(psis), tb.val(psis_b), atol=1e-12)
+        np.testing.assert_allclose(ta.val(lt), tb.val(lt_b), atol=1e-12)
+
+
 @pytest.mark.parametrize("case", sorted(TAU_CASES))
 class TestConditionalTau:
     """The three conditional_tau factories: Gamma MLP, linear SNR, VAE MLP."""
@@ -281,13 +297,7 @@ class TestConditionalTau:
         _, q, tau, x = TAU_CASES[case]()
         t0 = Tape(requires_grad=False)
         psi0, z = (t0.val(v) for v in sample_joint(q, x, RngStream(3), t0))
-        ta = Tape(requires_grad=False)
-        psis, lt = tau.sample_and_score(z, x, 2, ta.const(psi0), RngStream(9), ta)
-        tb = Tape(requires_grad=False)
-        psis_b = cat_rows([tb.const(psi0), tau.sample(z, x, 2, RngStream(9), tb)], tb)
-        lt_b = tau.log_prob(tb.val(psis_b), np.tile(z, (3, 1)), np.tile(x, (3, 1)), tb)
-        np.testing.assert_allclose(ta.val(psis), tb.val(psis_b), atol=1e-12)
-        np.testing.assert_allclose(ta.val(lt), tb.val(lt_b), atol=1e-12)
+        assert_sample_and_score_matches_separate_paths(tau, z, x, psi0)
 
     def test_stop_params_freezes_tau_in_draws_and_density(self, case):
         # vae-train's dreg estimator relies on this: under tau_stop_params no
@@ -332,11 +342,7 @@ class TestMiniVae:
         for step in range(150):
             t = Tape()
             est = diwhvi_elbo(vae.gen, vae.q, vae.tau, None, x, BoundConfig(M=1, K=1), rng, t)
-            grads = t.param_grads(t.backward(t.neg(est.node)))
-            vae.store.zero_grads()
-            for n, g in grads.items():
-                vae.store.grads[n] += g
-            opt.step()
+            opt.descend(t.param_grads(t.backward(t.neg(est.node))))
             vals.append(est.value)
         assert np.mean(vals[-10:]) > np.mean(vals[:10]) + 1.0
 
@@ -439,6 +445,17 @@ class TestTauAdapters:
         m = make_laplace_scale_mixture(2)
         with pytest.raises(UnsupportedModelError):
             posterior_tau(m)
+
+    @pytest.mark.parametrize("kind", ["prior", "posterior", "table"])
+    def test_derived_sample_and_score_agrees_with_separate_paths(self, kind):
+        # tau without a conditioner gets sample_and_score from sample + log_prob.
+        rng = RngStream(4)
+        m = oracle.random_finite_model(rng, psi_size=3, z_size=3)
+        tau = {"prior": prior_tau, "posterior": posterior_tau,
+               "table": lambda m: oracle.random_discrete_tau(rng, m)}[kind](m)
+        x = np.zeros((5, 0))
+        psi0, z = sample_joint(m, x, RngStream(3), Tape(requires_grad=False))
+        assert_sample_and_score_matches_separate_paths(tau, z, x, psi0)
 
     def test_prior_tau_scores_with_model_prior(self):
         m = make_laplace_scale_mixture(2)
