@@ -20,7 +20,6 @@ from .models import (AuxiliaryInference, ExplicitPrior, Generative, Hierarchical
                      save_params)
 from .optim import Adam
 from .rng import RngStream
-from .tape import (DomainError, NodeId, OpcodeError, ParamStore, Tape, backward,
-                   record, stop_gradient)
+from .tape import DomainError, NodeId, OpcodeError, ParamStore, Tape
 
 __version__ = "0.1.0"

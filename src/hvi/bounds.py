@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import special
 from .models import (AuxiliaryInference, ExplicitPrior, Generative, HierarchicalModel,
                      HierarchicalPrior, UnsupportedModelError, cat_rows, log_joint, n_rows,
                      prior_tau, rep_rows, sample_joint, with_first)
@@ -86,15 +87,14 @@ def _finish(t: Tape, node, log_weights_node, rows_axis_vals=None, diagnostics=No
 # ---------------------------------------------------------------------------
 
 def _iw_average(model: HierarchicalModel, aux: AuxiliaryInference, z, x, n: int,
-                rng: RngStream, t: Tape, first=None, w_inner=1.0, stop_params=False):
+                rng: RngStream, t: Tape, first=None, w_inner=1.0):
     """log[(1/m) sum_j model(z, psi_j | x) / aux(psi_j | z, x)] per row.
 
     The psi_j are n draws from aux, preceded by ``first`` (the self-sample
     psi_0) when given, so m is n or n + 1.  Each log weight is log model(z |
     psi) + w_inner (log model(psi | x) - log aux(psi | z, x)); ``w_inner`` < 1
-    is the inner KL warm-up used during training, 1 gives the bound.
-    ``stop_params`` freezes aux's parameters (see ``AuxiliaryInference``).
-    Returns (per-row node, (m, rows) log-weight matrix node).
+    is the inner KL warm-up used during training, 1 gives the bound.  aux's
+    parameters stay live.  Returns (per-row node, (m, rows) log-weight matrix node).
     """
     rows = n_rows(z, t)
     m = n + (first is not None)
@@ -103,7 +103,7 @@ def _iw_average(model: HierarchicalModel, aux: AuxiliaryInference, z, x, n: int,
         # the model's psi sampler and leave both densities out.
         psis = with_first(first, model.sample_psi(x, n * rows, rng, t) if n > 0 else None, t)
     else:
-        psis, laux = aux.sample_and_score(z, x, n, first, rng, t, stop_params=stop_params)
+        psis, laux = aux.sample_and_score(z, x, n, first, rng, t)
     lw = model.log_z_given_psi(rep_rows(z, m, t), psis, x, t)
     if aux.prior_of is not model:
         inner = t.sub(model.log_psi_prior(psis, x, t), laux)
@@ -171,8 +171,7 @@ def _prior_term(prior, rho, z, x, L, rng, t):
 
 def diwhvi_elbo(gen: Generative, q: HierarchicalModel, tau: AuxiliaryInference,
                 rho, x: np.ndarray, config: BoundConfig, rng: RngStream,
-                t: Tape | None = None, w_inner: float = 1.0, w_outer: float = 1.0,
-                tau_stop_params: bool = False) -> Estimate:
+                t: Tape | None = None, w_inner: float = 1.0, w_outer: float = 1.0) -> Estimate:
     """Doubly importance weighted hierarchical ELBO (M replicas per x row).
 
     Generative process, repeated independently M times per row: psi_0 from
@@ -185,8 +184,7 @@ def diwhvi_elbo(gen: Generative, q: HierarchicalModel, tau: AuxiliaryInference,
     M, K, L = config.M, config.K, config.L
     B = x.shape[0]
     psi0, z = sample_joint(q, x, rng, t, rows=M * B)
-    den, lw_mat = _iw_average(q, tau, z, x, K, rng, t, first=psi0, w_inner=w_inner,
-                              stop_params=tau_stop_params)
+    den, lw_mat = _iw_average(q, tau, z, x, K, rng, t, first=psi0, w_inner=w_inner)
     lik = gen.log_lik(x, z, t)
     pterm = _prior_term(gen.prior, rho, z, x, L, rng, t)
     gap = t.sub(pterm, den)
@@ -360,18 +358,12 @@ def jackknife_U(q: HierarchicalModel, tau: AuxiliaryInference, z, x, K: int, J: 
     psi0 = q.sample_psi_posterior(z, x, rng, t)
     _, lw_mat = _iw_average(q, tau, z, x, K, rng, t, first=psi0)
     lw = np.asarray(t.val(lw_mat))                    # (K+1, rows)
-    rows = lw.shape[1]
-    total = np.zeros(rows)
+    total = np.zeros(lw.shape[1])
     for j in range(J + 1):
-        size = K - j
-        subsets = list(itertools.combinations(range(1, K + 1), size))
-        vals = np.zeros(rows)
-        for S in subsets:
-            sel = np.concatenate([lw[:1], lw[list(S)]], axis=0) if S else lw[:1]
-            m = np.max(sel, axis=0)
-            m = np.where(np.isfinite(m), m, 0.0)
-            vals += m + np.log(np.mean(np.exp(sel - m), axis=0))
-        total += sharot_coeff(K, J, j) * vals / len(subsets)
+        # Every size-(K - j) subset of the draws, each led by psi_0 (slot 0).
+        idx = np.array([(0,) + S for S in itertools.combinations(range(1, K + 1), K - j)])
+        vals = np.mean(special.logsumexp(lw[idx], axis=1), axis=0) - np.log(K - j + 1)
+        total += sharot_coeff(K, J, j) * vals
     value = float(np.mean(total))
     return Estimate(value=value, node=None, log_weights=lw,
                     ess=effective_sample_size(lw), per_x=total,

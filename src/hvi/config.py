@@ -73,6 +73,8 @@ class ExperimentConfig:
             raise ConfigError("k_list entries must be >= 0")
         if any(m < 1 for m in self.m_list):
             raise ConfigError("m_list entries must be >= 1")
+        if any(h < 1 for h in self.hidden):
+            raise ConfigError("hidden entries must be >= 1")
         if self.estimator not in ("autodiff", "dreg"):
             raise ConfigError(f"unknown estimator {self.estimator!r}")
         if self.binarization not in ("dynamic", "fixed"):

@@ -250,15 +250,15 @@ def run_vae(cfg: ExperimentConfig) -> CsvWriter:
             t = Tape()
             est = diwhvi_elbo(vae.gen, vae.q, vae.tau, None, xb,
                               BoundConfig(M=cfg.m, K=K), rng_a, t,
-                              w_inner=w_inner, w_outer=w_outer,
-                              tau_stop_params=(cfg.estimator == "dreg"))
+                              w_inner=w_inner, w_outer=w_outer)
             grads = t.param_grads(t.backward(t.neg(est.node)))
             if cfg.estimator == "dreg":
+                # tau's blocks come from DReG alone, replacing the ELBO's.
                 rng_b = train_root.split(step_counter)   # same stream: same draws
                 dreg = grad_iwhvi_dreg(vae.gen, vae.q, vae.tau, xb,
                                        BoundConfig(M=cfg.m, K=K), store, rng_b)
                 for name, g in dreg.grads.items():
-                    grads[name] = grads[name] - g        # ascent on the ELBO
+                    grads[name] = -g                     # ascent on the ELBO
             opt.descend(grads)
             bounds_seen.append(est.value)
         out.add(experiment=cfg.experiment, seed=cfg.seed, step=epoch, K=K, M=cfg.m,

@@ -96,22 +96,16 @@ class AuxiliaryInference:
     have full support on psi's domain, so support domination holds by
     construction.
 
-    ``sample_and_score(z, x, k, first, rng, tape, stop_params=False)`` is how
-    the bound estimators draw from and score tau: it returns ``psis`` =
-    [first; k draws] stacked k-major (the k draws alone when ``first`` is
-    None) and log tau(psis | z, x) over all of their blocks.  A tau with a
-    conditioner (``conditional_tau``) runs it once there; any other tau gets
-    the path derived from ``sample`` and ``log_prob``.
+    ``sample_and_score(z, x, k, first, rng, tape)`` is how the bound
+    estimators draw from and score tau: it returns ``psis`` = [first; k
+    draws] stacked k-major (the k draws alone when ``first`` is None) and log
+    tau(psis | z, x) over all of their blocks, with tau's parameters live.  A
+    tau with a conditioner (``conditional_tau``) runs it once there; any other
+    tau gets the path derived from ``sample`` and ``log_prob``.
 
-    ``stop_params=True`` puts tau's parameters behind ``stop_gradient``, so
-    the density passes gradient only to psi and z.  The fused path of
-    ``conditional_tau`` also draws its k samples from the frozen
-    parameters, so under ``stop_params=True`` no gradient reaches tau's
-    parameters at all, through the density or the draws.  ``run_vae`` with
-    ``estimator=dreg`` relies on that: tau's gradient there comes from
-    ``grad_iwhvi_dreg`` alone.  sample + log_prob(stop_params=True) keeps the
-    draws' parameter path live, so the two routes agree only for
-    ``stop_params=False``.
+    ``log_prob(..., stop_params=True)`` is the one place tau's parameters are
+    stopped: the density then passes gradient only to psi and z.  The DReG
+    estimator (``grads.grad_iwhvi_dreg``) is its one caller.
     """
 
     log_prob: Callable            # (psi, z, x, tape, stop_params=False) -> (rows,)
@@ -129,11 +123,11 @@ class AuxiliaryInference:
             _sample_then_score, self.sample, self.log_prob)
 
 
-def _sample_then_score(sample, log_prob, z, x, k, first, rng, t, stop_params=False):
+def _sample_then_score(sample, log_prob, z, x, k, first, rng, t):
     """sample_and_score of a tau without a conditioner: sample, then log_prob."""
     psis = with_first(first, sample(z, x, k, rng, t) if k > 0 else None, t)
     n = k + (first is not None)
-    return psis, log_prob(psis, rep_rows(z, n, t), x, t, stop_params=stop_params)
+    return psis, log_prob(psis, rep_rows(z, n, t), x, t)
 
 
 def conditional_tau(params: Callable, family: Callable, param_names: tuple) -> AuxiliaryInference:
@@ -154,8 +148,8 @@ def conditional_tau(params: Callable, family: Callable, param_names: tuple) -> A
     def sample(z, x, k, rng, t):
         return draw(params(z, x, t, False), k, rng, t)
 
-    def sample_and_score(z, x, k, first, rng, t, stop_params=False):
-        p = params(z, x, t, stop_params)
+    def sample_and_score(z, x, k, first, rng, t):
+        p = params(z, x, t, False)
         if first is None:
             spec = family(*(t.tile_rows(v, k) for v in p))
             psis = dists.sample_reparam(spec, rng, t)
@@ -173,7 +167,6 @@ def conditional_tau(params: Callable, family: Callable, param_names: tuple) -> A
 @dataclass
 class ExplicitPrior:
     log_prob: Callable            # (z, tape) -> (rows,)
-    sample: Callable | None = None
 
 
 @dataclass
@@ -238,7 +231,7 @@ def with_first(first, draws, t: Tape):
 class HeadSpec:
     name: str
     dim: int
-    transform: str                # identity | positive | logit
+    transform: str                # identity | positive
     fallback: np.ndarray | float  # prior parameter the gate blends toward
 
 
@@ -251,11 +244,12 @@ class MlpCond:
     """MLP mapping conditioning inputs to distribution parameters.
 
     Softplus activations throughout.  The first layer acts on the columns
-    [x, inputs], x only when given.  When ``concat_extra`` is set, every
-    layer (heads included) acts on its input concatenated with the extra
-    conditioning vector.  A sigmoid gate output (weights zero-initialized,
-    bias -5) blends each head with a fixed fallback parameter so a freshly
-    initialized conditional sits on its fallback prior.
+    [x, inputs], x only when given.  When an ``extra`` conditioning vector is
+    passed, every layer (heads included) acts on its input concatenated with
+    it.  A sigmoid gate output (weights zero-initialized, bias -5) blends each
+    head with a fixed fallback parameter so a freshly initialized conditional
+    sits on its fallback prior.  ``frozen=True`` puts every parameter behind
+    ``stop_gradient``.
 
     The leading block of the first layer may hold per-observation rows (B
     rows of x, or ``inputs`` when it is x) under n·B sample rows: it meets
@@ -267,9 +261,6 @@ class MlpCond:
     prefix: str
     layer_sizes: tuple
     heads: tuple
-    concat_extra: bool = False
-    extra_dim: int = 0
-    gated: bool = True
 
     def apply(self, t: Tape, inputs, extra=None, frozen: bool = False, x=None) -> dict:
         def p(name):
@@ -279,31 +270,25 @@ class MlpCond:
         def lift(v):
             return v if isinstance(v, NodeId) else t.const(v)
 
-        tail = [lift(extra)] if self.concat_extra and extra is not None else []
+        tail = [lift(extra)] if extra is not None else []
         blocks = ([lift(x)] if x is not None else []) + [lift(inputs)]
         for i in range(len(self.layer_sizes) - 1):
             h = t.softplus(_affine(t, _layer_input(t, blocks + tail), p, f"w{i}", f"b{i}"))
             blocks = [h]
         top = _layer_input(t, blocks + tail)
-        out = {}
-        if self.gated:
-            gate = t.sigmoid(_affine(t, top, p, "w_gate", "b_gate"))  # (rows, 1)
-            out["gate"] = gate
+        gate = t.sigmoid(_affine(t, top, p, "w_gate", "b_gate"))  # (rows, 1)
+        out = {"gate": gate}
         for spec in self.heads:
             raw = _affine(t, top, p, f"w_{spec.name}", f"b_{spec.name}")
             if spec.transform == "identity":
                 val = raw
             elif spec.transform == "positive":
                 val = t.add(t.softplus(raw), POSITIVE_FLOOR)
-            elif spec.transform == "logit":
-                val = raw
             else:
                 raise ValueError(f"unknown head transform {spec.transform!r}")
-            if self.gated:
-                fb = t.const(np.broadcast_to(np.asarray(spec.fallback, dtype=np.float64),
-                                             (1, spec.dim)))
-                val = t.add(t.mul(gate, val), t.mul(t.sub(1.0, gate), fb))
-            out[spec.name] = val
+            fb = t.const(np.broadcast_to(np.asarray(spec.fallback, dtype=np.float64),
+                                         (1, spec.dim)))
+            out[spec.name] = t.add(t.mul(gate, val), t.mul(t.sub(1.0, gate), fb))
         return out
 
     def param_names(self) -> tuple:
@@ -347,16 +332,15 @@ def _head_bias_init(spec: HeadSpec) -> np.ndarray:
     if spec.transform == "positive":
         from .special import inv_softplus
         return inv_softplus(np.maximum(fb - POSITIVE_FLOOR, 1e-6))
-    if spec.transform == "logit":
-        return np.zeros(spec.dim) if np.allclose(fb, 0.0) else np.array(fb, copy=True)
     return np.array(fb, copy=True)
 
 
 def init_mlp_cond(store: ParamStore, prefix: str, in_dim: int, hidden: tuple, heads: tuple,
-                  rng: RngStream, concat_extra: bool = False, extra_dim: int = 0,
-                  gated: bool = True) -> MlpCond:
+                  rng: RngStream, extra_dim: int = 0) -> MlpCond:
+    """MlpCond with fresh parameters; ``extra_dim`` widens every layer's input
+    by the width of the ``extra`` vector that ``apply`` will be given."""
     sizes = (in_dim,) + tuple(hidden)
-    eff = [s + (extra_dim if concat_extra else 0) for s in sizes]
+    eff = [s + extra_dim for s in sizes]
 
     def glorot(fi, fo):
         lim = np.sqrt(6.0 / (fi + fo))
@@ -372,10 +356,9 @@ def init_mlp_cond(store: ParamStore, prefix: str, in_dim: int, hidden: tuple, he
         # while every layer still receives a nonzero gradient.
         store.add(f"{prefix}.w_{spec.name}", 0.1 * glorot(top, spec.dim))
         store.add(f"{prefix}.b_{spec.name}", _head_bias_init(spec))
-    if gated:
-        store.add(f"{prefix}.w_gate", np.zeros((top, 1)))
-        store.add(f"{prefix}.b_gate", np.full(1, GATE_BIAS_INIT))
-    return MlpCond(store, prefix, sizes, tuple(heads), concat_extra, extra_dim, gated)
+    store.add(f"{prefix}.w_gate", np.zeros((top, 1)))
+    store.add(f"{prefix}.b_gate", np.full(1, GATE_BIAS_INIT))
+    return MlpCond(store, prefix, sizes, tuple(heads))
 
 
 # ---------------------------------------------------------------------------
@@ -669,11 +652,11 @@ def make_mini_vae(input_dim: int = 784, z_dim: int = 8, psi_dim: int = 8,
     hidden = tuple(hidden)
 
     dec = init_mlp_cond(store, "dec", z_dim, hidden,
-                        (HeadSpec("logits", input_dim, "logit", 0.0),), rng)
+                        (HeadSpec("logits", input_dim, "identity", 0.0),), rng)
     enc = init_mlp_cond(store, "enc", input_dim, hidden,
                         (HeadSpec("mean", z_dim, "identity", 0.0),
                          HeadSpec("stddev", z_dim, "positive", 1.0)),
-                        rng, concat_extra=True, extra_dim=psi_dim)
+                        rng, extra_dim=psi_dim)
     tau_net = init_mlp_cond(store, "tau", input_dim + z_dim, hidden,
                             (HeadSpec("mean", psi_dim, "identity", 0.0),
                              HeadSpec("stddev", psi_dim, "positive", 1.0)), rng)

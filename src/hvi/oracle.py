@@ -9,7 +9,6 @@ Carlo estimators they check.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,18 +19,6 @@ from .rng import RngStream
 from .tape import Tape
 
 TUPLE_BUDGET = 10 ** 6
-
-
-@dataclass(frozen=True)
-class FiniteSupport:
-    points: tuple
-    probs: tuple
-
-    def __post_init__(self):
-        if abs(sum(self.probs) - 1.0) > 1e-12:
-            raise ValueError("probabilities must sum to 1")
-        if len(set(self.points)) != len(self.points):
-            raise ValueError("support points must be distinct")
 
 
 def _tuples(size: int, repeat: int) -> np.ndarray:

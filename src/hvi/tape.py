@@ -80,10 +80,6 @@ class ParamStore:
     def names(self, prefix: str = "") -> list[str]:
         return [n for n in self._blocks if n.startswith(prefix)]
 
-    def zero_grads(self, prefix: str = "") -> None:
-        for n in self.names(prefix):
-            self.grads[n][...] = 0.0
-
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     """Sum an adjoint back down to ``shape`` after numpy broadcasting."""
@@ -471,17 +467,3 @@ class Tape:
                 g = np.zeros_like(store[name])
             out[name] = out[name] + g if name in out else np.array(g, copy=True)
         return out
-
-
-# Module-level spellings of the core operations.
-
-def record(tape: Tape, op: str, inputs, value=None, aux=None) -> NodeId:
-    return tape.record(op, inputs, value=value, aux=aux)
-
-
-def backward(tape: Tape, output: NodeId) -> dict[NodeId, np.ndarray]:
-    return tape.backward(output)
-
-
-def stop_gradient(tape: Tape, node) -> NodeId:
-    return tape.stop_gradient(node)

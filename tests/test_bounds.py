@@ -1,5 +1,6 @@
 """Estimator semantics: sandwich structure, special cases, KL bounds, jackknife."""
 
+import itertools
 import math
 
 import numpy as np
@@ -398,6 +399,23 @@ class TestJackknife:
         a = jackknife_U(TWO_POINT, tau, z, x, K=3, J=0, rng=RngStream(89))
         b = upper_bound_U(TWO_POINT, tau, z, x, K=3, rng=RngStream(89))
         assert a.value == pytest.approx(b.value, abs=1e-12)
+
+    @pytest.mark.parametrize("K,J", [(4, 1), (5, 2)])
+    def test_higher_orders_match_per_subset_average(self, K, J):
+        # psi = 1 cannot produce z = 0, so prior draws of it carry -inf weights.
+        model = make_discrete_hvm([0.5, 0.3, 0.2], [[0.7, 0.3], [0.0, 1.0], [0.4, 0.6]])
+        z = np.zeros(24, dtype=np.int64)
+        est = jackknife_U(model, prior_tau(model), z, np.zeros((24, 0)), K=K, J=J,
+                          rng=RngStream(61))
+        lw = est.log_weights
+        assert np.isneginf(lw).any()
+        want = np.zeros(lw.shape[1])
+        for j in range(J + 1):
+            subsets = list(itertools.combinations(range(1, K + 1), K - j))
+            per_subset = [np.log(np.mean(np.exp(lw[[0, *S]]), axis=0)) for S in subsets]
+            want += sharot_coeff(K, J, j) * np.mean(per_subset, axis=0)
+        np.testing.assert_allclose(est.per_x, want, rtol=1e-13)
+        assert est.value == pytest.approx(float(np.mean(want)), rel=1e-13)
 
     def test_rejects_order_above_K(self):
         with pytest.raises(ValueError):

@@ -42,7 +42,7 @@ class TestConfig:
                                           ("final_eval_draws", "0"), ("k_list", "1,-1"),
                                           ("m_list", "4,0"), ("k_schedule", "0:0,5:-2"),
                                           ("eval_images", "0"), ("dim", "0"), ("z_dim", "0"),
-                                          ("psi_dim", "0")])
+                                          ("psi_dim", "0"), ("hidden", "32,0")])
     def test_out_of_range_value_is_config_error(self, key, raw):
         # Each of these used to pass validation and crash mid-run.
         with pytest.raises(ConfigError, match=key):

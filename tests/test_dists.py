@@ -10,7 +10,7 @@ from scipy import special as sps
 from hvi import dists, oracle, special
 from hvi.dists import UnsupportedKindError
 from hvi.rng import RngStream
-from hvi.tape import NodeId, Tape, backward
+from hvi.tape import NodeId, Tape
 
 
 def lp(dist, value):
@@ -66,7 +66,7 @@ class TestLogProb:
                 t = Tape()
                 leaf = t.leaf(l)
                 out = dists.log_prob(dists.bernoulli(logits=leaf), x, t)
-                g = np.asarray(backward(t, t.sum(out))[leaf])
+                g = np.asarray(t.backward(t.sum(out))[leaf])
             np.testing.assert_allclose(t.val(out), want, rtol=1e-12, atol=1e-12)
             np.testing.assert_allclose(g, x - sps.expit(l), rtol=1e-12, atol=1e-15)
 
@@ -114,7 +114,7 @@ class TestSampling:
         rng = RngStream(3)
         s = dists.sample_reparam(dists.normal(mu, sigma), rng, t)
         eps = (float(t.val(s)) - 0.7) / 1.2
-        g = backward(t, s)
+        g = t.backward(s)
         assert float(g[NodeId(mu.index)]) == pytest.approx(1.0)
         assert float(g[NodeId(sigma.index)]) == pytest.approx(eps)
 
@@ -123,7 +123,7 @@ class TestSampling:
         rate = t.leaf(2.0)
         s = dists.sample_reparam(dists.exponential(rate), RngStream(5), t)
         val = float(t.val(s))
-        g = float(backward(t, s)[NodeId(rate.index)])
+        g = float(t.backward(s)[NodeId(rate.index)])
         assert g == pytest.approx(-val / 2.0, rel=1e-12)
 
     def test_discrete_kinds_unsupported(self):
@@ -164,7 +164,7 @@ def pathwise_moment_grad(dist_builder, param0, f, n, seed):
     p = t.leaf(param0)
     s = dists.sample_reparam(dist_builder(t, p), RngStream(seed), t, shape=(n,))
     obj = t.mean(f(t, s))
-    g = backward(t, obj)[NodeId(p.index)]
+    g = t.backward(obj)[NodeId(p.index)]
     per = None
     return float(g), per
 

@@ -205,6 +205,49 @@ class TestDreg:
         z = np.abs(arr.mean(axis=0)) / (arr.std(axis=0, ddof=1) / math.sqrt(R) + 1e-12)
         assert np.max(z) > 4.0
 
+    def test_vae_train_dreg_step_replaces_tau_blocks(self, tmp_path, data_dir, monkeypatch):
+        # One run_vae step under estimator=dreg: tau's blocks are exactly the
+        # negated DReG gradient, every other block the autodiff ELBO gradient
+        # with tau live, on the same stream the driver uses.
+        from hvi import experiments
+        from hvi.config import load_config
+        from hvi.optim import Adam
+
+        class FirstStep(Exception):
+            pass
+
+        seen = {}
+
+        def elbo(*args, **kwargs):
+            seen["args"], seen["kwargs"] = args, kwargs
+            return diwhvi_elbo(*args, **kwargs)
+
+        def descend(self, grads):
+            seen["grads"], seen["store"] = grads, self.store
+            raise FirstStep
+
+        monkeypatch.setattr(experiments, "diwhvi_elbo", elbo)
+        monkeypatch.setattr(Adam, "descend", descend)
+        cfg = load_config(None, overrides={
+            "experiment": "vae-train", "data_path": data_dir, "subset_size": "64",
+            "epochs": "1", "m": "2", "k": "3", "hidden": "16,16", "seed": "5",
+            "estimator": "dreg", "out": str(tmp_path / "d.csv")})
+        with pytest.raises(FirstStep):
+            experiments.run_vae(cfg)
+
+        gen, q, tau, _, xb, config = seen["args"][:6]
+        step_rng = RngStream(cfg.seed).split(1).split(1)        # the driver's first step
+        t = Tape()
+        est = diwhvi_elbo(gen, q, tau, None, xb, config, step_rng, t, **seen["kwargs"])
+        want = t.param_grads(t.backward(t.neg(est.node)))
+        dreg = grad_iwhvi_dreg(gen, q, tau, xb, config, seen["store"],
+                               RngStream(cfg.seed).split(1).split(1))
+        got = seen["grads"]
+        assert set(got) == set(want) and set(tau.param_names) < set(got)
+        for name in got:
+            expect = -dreg.grads[name] if name in tau.param_names else want[name]
+            np.testing.assert_array_equal(got[name], expect, err_msg=name)
+
 
 class TestMeasureSnr:
     def test_deterministic_gradient_reported_missing(self):

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from hvi import dists, oracle
-from hvi.bounds import BoundConfig, diwhvi_elbo
 from hvi.models import (HeadSpec, UnsupportedModelError, cat_rows, flat_generative,
                         init_mlp_cond, load_params, log_joint, make_discrete_hvm,
                         make_gamma_mlp_tau, make_laplace_scale_mixture, make_mini_vae,
@@ -298,21 +297,6 @@ class TestConditionalTau:
         t0 = Tape(requires_grad=False)
         psi0, z = (t0.val(v) for v in sample_joint(q, x, RngStream(3), t0))
         assert_sample_and_score_matches_separate_paths(tau, z, x, psi0)
-
-    def test_stop_params_freezes_tau_in_draws_and_density(self, case):
-        # vae-train's dreg estimator relies on this: under tau_stop_params no
-        # gradient reaches tau's parameters, not even through the K draws.
-        gen, q, tau, x = TAU_CASES[case]()
-
-        def live_params(stop):
-            t = Tape()
-            est = diwhvi_elbo(gen, q, tau, None, x, BoundConfig(M=2, K=3), RngStream(4), t,
-                              tau_stop_params=stop)
-            grads = t.param_grads(t.backward(est.node))
-            return [n for n in tau.param_names if np.any(grads[n] != 0.0)]
-
-        assert live_params(False)
-        assert live_params(True) == []
 
 
 class TestMiniVae:

@@ -8,21 +8,11 @@ from scipy import integrate, stats
 
 from hvi import dists, oracle
 from hvi.models import UnsupportedModelError, make_discrete_hvm, make_laplace_scale_mixture, posterior_tau, prior_tau
-from hvi.oracle import FiniteSupport, QuadratureError
+from hvi.oracle import QuadratureError
 from hvi.rng import RngStream
 from hvi.tape import Tape
 
 TWO_POINT = make_discrete_hvm([0.5, 0.5], [[0.8, 0.2], [0.2, 0.8]])
-
-
-class TestFiniteSupport:
-    def test_probabilities_must_normalize(self):
-        with pytest.raises(ValueError):
-            FiniteSupport(points=(0, 1), probs=(0.5, 0.4))
-
-    def test_points_must_be_distinct(self):
-        with pytest.raises(ValueError):
-            FiniteSupport(points=(0, 0), probs=(0.5, 0.5))
 
 
 class TestExactExpectedBound:
@@ -144,8 +134,8 @@ class TestFiniteDiff:
             return t, leaf, out
 
         t, leaf, out = build(x0)
-        from hvi.tape import NodeId, backward
-        g = backward(t, out)[NodeId(leaf.index)]
+        from hvi.tape import NodeId
+        g = t.backward(out)[NodeId(leaf.index)]
         fd = oracle.finite_diff(lambda v: float(build(v)[0].val(build(v)[2])), x0)
         np.testing.assert_allclose(g, fd, rtol=1e-5, atol=1e-7)
 

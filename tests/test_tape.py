@@ -7,22 +7,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hvi.tape import (DomainError, NodeId, OpcodeError, ParamStore, Tape, backward,
-                      record, stop_gradient)
+from hvi.tape import DomainError, NodeId, OpcodeError, ParamStore, Tape
 
 FD_STEP = 1e-6
 FD_RTOL = 1e-5
 
 
 def grad_of(t, out, node):
-    return backward(t, out)[NodeId(node.index)]
+    return t.backward(out)[NodeId(node.index)]
 
 
 class TestRecord:
     def test_unknown_opcode_rejected(self):
         t = Tape()
         with pytest.raises(OpcodeError):
-            record(t, "frobnicate", ())
+            t.record("frobnicate", ())
 
     def test_log_partial_at_two(self):
         t = Tape()
@@ -85,7 +84,7 @@ class TestBackward:
         x = t.leaf(1.0)
         y = t.leaf(1.0)
         out = t.logsumexp(t.concat([t.reshape(x, (1,)), t.reshape(y, (1,))]))
-        g = backward(t, out)
+        g = t.backward(out)
         assert float(g[NodeId(x.index)]) == pytest.approx(0.5)
         assert float(g[NodeId(y.index)]) == pytest.approx(0.5)
 
@@ -99,8 +98,8 @@ class TestBackward:
         t = Tape()
         x = t.leaf(np.array([0.5, 2.0, 3.0]))
         out = t.sum(t.mul(t.log(x), t.exp(t.neg(x))))
-        g1 = backward(t, out)
-        g2 = backward(t, out)
+        g1 = t.backward(out)
+        g2 = t.backward(out)
         assert g1.keys() == g2.keys()
         for k in g1:
             assert np.array_equal(g1[k], g2[k])
@@ -109,7 +108,7 @@ class TestBackward:
         t = Tape()
         t.leaf(1.0)
         with pytest.raises(ValueError):
-            backward(t, NodeId(99))
+            t.backward(NodeId(99))
 
     def test_overflow_safe_logsumexp(self):
         t = Tape()
@@ -121,21 +120,21 @@ class TestStopGradient:
     def test_product_with_frozen_factor(self):
         t = Tape()
         x = t.leaf(3.0)
-        out = t.mul(x, stop_gradient(t, x))
+        out = t.mul(x, t.stop_gradient(x))
         assert float(t.val(out)) == pytest.approx(9.0)
         assert float(grad_of(t, out, x)) == pytest.approx(3.0)
 
     def test_alone_gives_zero(self):
         t = Tape()
         x = t.leaf(4.2)
-        out = t.mul(1.0, stop_gradient(t, x))
-        g = backward(t, out)
+        out = t.mul(1.0, t.stop_gradient(x))
+        g = t.backward(out)
         assert NodeId(x.index) not in g
 
     def test_only_identity_path_differentiates(self):
         t = Tape()
         x = t.leaf(0.0)
-        out = t.add(stop_gradient(t, t.softplus(x)), x)
+        out = t.add(t.stop_gradient(t.softplus(x)), x)
         assert float(grad_of(t, out, x)) == pytest.approx(1.0)
 
 
@@ -293,7 +292,7 @@ class TestParamStore:
         t = Tape()
         w = t.param(s, "w")
         out = t.sum(t.mul(w, w))
-        grads = t.param_grads(backward(t, out))
+        grads = t.param_grads(t.backward(out))
         np.testing.assert_allclose(grads["w"], [2.0, 4.0])
 
     def test_duplicate_block_rejected(self):
