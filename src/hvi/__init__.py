@@ -8,9 +8,8 @@ from .bounds import (BoundConfig, Estimate, diwhvi_elbo, eval_variants,
                      expected_kl_tau_prior, iwhvi_elbo, jackknife_U, kl_lower_bound,
                      kl_upper_bound, lower_bound_L, omega_sample, sharot_coeff,
                      sivi_elbo, sivi_reused, upper_bound_U, upper_bound_U_joint)
-from .dists import (DistributionSpec, UnsupportedKindError, bernoulli, categorical,
-                    exponential, gamma, gamma_implicit_grad, laplace, log_prob,
-                    log_prob_value, normal, sample_reparam)
+from .dists import (DistributionSpec, UnsupportedKindError, bernoulli, exponential, gamma,
+                    gamma_implicit_grad, log_prob, log_prob_value, normal, sample_reparam)
 from .grads import GradEstimate, SnrReport, grad_autodiff, grad_iwhvi_dreg, measure_snr
 from .models import (AuxiliaryInference, ExplicitPrior, Generative, HierarchicalModel,
                      HierarchicalPrior, MlpCond, UnsupportedModelError, conditional_tau,

@@ -20,8 +20,8 @@ from .tape import NodeId, Tape
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
-CONTINUOUS_KINDS = ("normal", "laplace", "exponential", "gamma")
-DISCRETE_KINDS = ("bernoulli", "categorical")
+CONTINUOUS_KINDS = ("normal", "exponential", "gamma")
+DISCRETE_KINDS = ("bernoulli",)
 
 
 class UnsupportedKindError(TypeError):
@@ -42,22 +42,12 @@ class DistributionSpec:
             if isinstance(v, NodeId):
                 continue
             arr = np.asarray(v, dtype=np.float64)
-            if self.kind == "categorical" and name == "probs":
-                total = arr.sum(axis=-1)
-                if np.any(np.abs(total - 1.0) > 1e-12):
-                    raise ValueError("categorical probabilities must sum to 1")
-            elif name in ("stddev", "scale", "rate", "concentration") and np.any(arr <= 0.0):
+            if name in ("stddev", "rate", "concentration") and np.any(arr <= 0.0):
                 raise ValueError(f"{self.kind}.{name} must be positive")
-            elif name == "probability" and np.any((arr < 0.0) | (arr > 1.0)):
-                raise ValueError("bernoulli probability must lie in [0, 1]")
 
 
 def normal(mean, stddev) -> DistributionSpec:
     return DistributionSpec("normal", {"mean": mean, "stddev": stddev})
-
-
-def laplace(loc, scale) -> DistributionSpec:
-    return DistributionSpec("laplace", {"loc": loc, "scale": scale})
 
 
 def exponential(rate) -> DistributionSpec:
@@ -68,16 +58,8 @@ def gamma(concentration, rate) -> DistributionSpec:
     return DistributionSpec("gamma", {"concentration": concentration, "rate": rate})
 
 
-def bernoulli(probability=None, logits=None) -> DistributionSpec:
-    if (probability is None) == (logits is None):
-        raise ValueError("bernoulli takes exactly one of probability / logits")
-    if probability is not None:
-        return DistributionSpec("bernoulli", {"probability": probability})
+def bernoulli(logits) -> DistributionSpec:
     return DistributionSpec("bernoulli", {"logits": logits})
-
-
-def categorical(probs) -> DistributionSpec:
-    return DistributionSpec("categorical", {"probs": probs})
 
 
 def _reduce_last(t: Tape, node, value):
@@ -94,9 +76,6 @@ def log_prob(dist, value, t: Tape) -> NodeId:
     if dist.kind == "normal":
         z = t.div(t.sub(value, p["mean"]), p["stddev"])
         lp = t.sub(t.mul(-0.5, t.square(z)), t.add(t.log(p["stddev"]), 0.5 * _LOG_2PI))
-    elif dist.kind == "laplace":
-        z = t.div(t.abs(t.sub(value, p["loc"])), p["scale"])
-        lp = t.neg(t.add(z, t.add(t.log(p["scale"]), float(np.log(2.0)))))
     elif dist.kind == "exponential":
         _check_support("exponential", value, t, lower=0.0)
         lp = t.sub(t.log(p["rate"]), t.mul(p["rate"], value))
@@ -106,25 +85,10 @@ def log_prob(dist, value, t: Tape) -> NodeId:
         lp = t.sub(t.add(t.mul(a, t.log(r)), t.mul(t.sub(a, 1.0), t.log(value))),
                    t.add(t.lgamma(a), t.mul(r, value)))
     elif dist.kind == "bernoulli":
-        v = value
-        if "logits" in p:
-            # x*log sigmoid(l) + (1-x)*log sigmoid(-l) = x*l - softplus(l),
-            # since log sigmoid(l) = l - softplus(l): one softplus pass.
-            l = p["logits"]
-            lp = t.sub(t.mul(v, l), t.softplus(l))
-        else:
-            q = p["probability"]
-            lp = t.add(t.mul(v, t.log(q)), t.mul(t.sub(1.0, v), t.log(t.sub(1.0, q))))
-        return _reduce_last(t, lp, t.val(value))
-    elif dist.kind == "categorical":
-        probs = p["probs"]
-        logp = t.log(probs)
-        codes = np.asarray(value, dtype=np.int64)
-        onehot = np.zeros(codes.shape + (np.asarray(t.val(probs)).shape[-1],))
-        np.put_along_axis(onehot, codes[..., None], 1.0, axis=-1)
-        if codes.ndim == 0:
-            return t.dot(onehot, logp)
-        return t.matvec(onehot, logp)
+        # x*log sigmoid(l) + (1-x)*log sigmoid(-l) = x*l - softplus(l),
+        # since log sigmoid(l) = l - softplus(l): one softplus pass.
+        l = p["logits"]
+        lp = t.sub(t.mul(value, l), t.softplus(l))
     else:  # pragma: no cover
         raise UnsupportedKindError(dist.kind)
     return _reduce_last(t, lp, t.val(value))
@@ -141,7 +105,7 @@ def sample_reparam(dist: DistributionSpec, rng: RngStream, t: Tape, shape=None) 
     """Pathwise-differentiable draw; shape defaults to the broadcast param shape.
 
     Normal is location-scale; a plain-array stddev is folded into the noise as
-    one constant node.  Laplace and Exponential invert one uniform.
+    one constant node.  Exponential inverts one uniform.
     Gamma draws by Marsaglia-Tsang rejection (``RngStream.gamma``) and
     differentiates by the implicit CDF rule, exact to ~1e-14 relative (see
     ``gamma_implicit_grad``).
@@ -156,12 +120,6 @@ def sample_reparam(dist: DistributionSpec, rng: RngStream, t: Tape, shape=None) 
         if not isinstance(p["stddev"], NodeId):
             return t.add(p["mean"], t.const(p["stddev"] * eps))
         return t.add(p["mean"], t.mul(p["stddev"], eps))
-    if dist.kind == "laplace":
-        u = rng.uniform(shape)
-        u = np.where(u == 0.0, 0.5 * np.finfo(np.float64).eps, u)
-        tt = u - 0.5
-        g = -np.sign(tt) * np.log1p(-2.0 * np.abs(tt))
-        return t.add(p["loc"], t.mul(p["scale"], g))
     if dist.kind == "exponential":
         e = rng.exponential(1.0, shape)
         return t.div(t.const(e), p["rate"])

@@ -303,10 +303,18 @@ def load_vae_checkpoint(path: str) -> tuple[MiniVae, dict]:
     arch = blocks["meta.arch"].astype(int)
     vae = make_mini_vae(int(arch[0]), int(arch[1]), int(arch[2]), tuple(int(h) for h in arch[3:]),
                         RngStream(0))
-    for name, value in blocks.items():
-        if name == "meta.arch":
-            continue
-        vae.store[name] = value
+    expected = {name: vae.store[name].shape for name in vae.store.names()}
+    found = {name: value.shape for name, value in blocks.items() if name != "meta.arch"}
+    for name in sorted(expected.keys() | found.keys()):
+        if name not in found:
+            raise DataError(f"checkpoint {path} lacks block {name!r} of its meta.arch")
+        if name not in expected:
+            raise DataError(f"checkpoint {path} has block {name!r}, unknown to its meta.arch")
+        if found[name] != expected[name]:
+            raise DataError(f"checkpoint {path}: block {name!r} has shape {found[name]}, "
+                            f"its meta.arch gives {expected[name]}")
+    for name in found:
+        vae.store[name] = blocks[name]
     return vae, blocks
 
 

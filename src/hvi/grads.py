@@ -8,7 +8,7 @@ ones.  Both return gradients of the ELBO (ascent direction).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -123,8 +123,6 @@ class SnrReport:
     p95: float
     n_missing: int
     replicates: int
-    grad_means: dict[str, np.ndarray] = field(default_factory=dict)
-    grad_stds: dict[str, np.ndarray] = field(default_factory=dict)
 
 
 def measure_snr(grad_fn, replicates: int, rng: RngStream) -> SnrReport:
@@ -142,7 +140,6 @@ def measure_snr(grad_fn, replicates: int, rng: RngStream) -> SnrReport:
         for name, arr in grads.items():
             stacks.setdefault(name, []).append(np.asarray(arr, dtype=np.float64))
     per_param = {}
-    means, stds = {}, {}
     all_snr = []
     n_missing = 0
     for name, lst in stacks.items():
@@ -152,7 +149,6 @@ def measure_snr(grad_fn, replicates: int, rng: RngStream) -> SnrReport:
         with np.errstate(invalid="ignore", divide="ignore"):
             snr = np.where(std > 0.0, np.abs(mean) / std, np.nan)
         per_param[name] = snr
-        means[name], stds[name] = mean, std
         n_missing += int(np.sum(~np.isfinite(snr)))
         all_snr.append(snr.reshape(-1))
     flat = np.concatenate(all_snr) if all_snr else np.array([np.nan])
@@ -163,5 +159,4 @@ def measure_snr(grad_fn, replicates: int, rng: RngStream) -> SnrReport:
     else:
         summary = (np.nan, np.nan, np.nan)
     return SnrReport(per_param=per_param, mean_snr=summary[0], p5=summary[1],
-                     p95=summary[2], n_missing=n_missing, replicates=replicates,
-                     grad_means=means, grad_stds=stds)
+                     p95=summary[2], n_missing=n_missing, replicates=replicates)

@@ -56,8 +56,12 @@ class FiniteModelInfo:
         return float(self.psi_probs @ self.z_given_psi[:, z])
 
     def posterior_psi(self, z: int) -> np.ndarray:
+        """q(psi | z); a z of zero marginal has none, and raises ValueError."""
         w = self.psi_probs * self.z_given_psi[:, z]
-        return w / w.sum()
+        total = w.sum()
+        if total == 0.0:
+            raise ValueError(f"posterior_psi: z = {z} has zero marginal probability")
+        return w / total
 
 
 @dataclass
@@ -476,11 +480,16 @@ def make_discrete_tau(model: HierarchicalModel, probs=None, store: ParamStore | 
 
 
 def posterior_tau(model: HierarchicalModel) -> AuxiliaryInference:
-    """tau := exact posterior q(psi | z); available for finite models only."""
+    """tau := exact posterior q(psi | z); available for finite models only.
+
+    A z of zero marginal has no posterior; its row is q(psi), which no
+    estimator reads, since no draw of z from the model lands there.
+    """
     info = model.finite
     if info is None:
         raise UnsupportedModelError("posterior tau requires a finite model")
-    table = np.stack([info.posterior_psi(j) for j in range(info.z_size)], axis=0)
+    table = np.stack([info.posterior_psi(j) if info.marginal(j) > 0.0 else info.psi_probs
+                      for j in range(info.z_size)], axis=0)
     return make_discrete_tau(model, probs=table)
 
 

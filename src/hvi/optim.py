@@ -20,7 +20,7 @@ class Adam:
         self.amsgrad = amsgrad
         self._m = {n: np.zeros_like(store[n]) for n in self.names}
         self._v = {n: np.zeros_like(store[n]) for n in self.names}
-        self._vhat = {n: np.zeros_like(store[n]) for n in self.names}
+        self._vhat = {n: np.zeros_like(store[n]) for n in self.names} if amsgrad else {}
         self._t = 0
 
     def step(self) -> None:

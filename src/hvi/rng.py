@@ -5,7 +5,6 @@ runs are reproducible:
 
 * ``normal``       -- 2 uniforms per element (Box-Muller, cosine branch only)
 * ``exponential``  -- 1 uniform per element (inverse CDF)
-* ``laplace``      -- 1 uniform per element (inverse CDF)
 * ``categorical``  -- 1 uniform per draw
 * ``gamma``        -- variable (Marsaglia-Tsang rejection): 3 uniforms (a
                       normal and an acceptance uniform) per still-pending
@@ -68,13 +67,6 @@ class RngStream:
     def exponential(self, rate=1.0, shape=()) -> np.ndarray:
         """Exponential(rate) via -log(u)/rate; 1 uniform per element."""
         return -np.log(self._open_uniform(shape)) / rate
-
-    def laplace(self, loc=0.0, scale=1.0, shape=()) -> np.ndarray:
-        """Laplace via inverse CDF of one uniform per element."""
-        u = self.uniform(shape)
-        u = np.where(u == 0.0, 0.5 * np.finfo(np.float64).eps, u)
-        t = u - 0.5
-        return loc - scale * np.sign(t) * np.log1p(-2.0 * np.abs(t))
 
     def categorical(self, probs: np.ndarray) -> int:
         """Index draw from a probability vector; 1 uniform."""

@@ -78,26 +78,6 @@ def digamma(x):
     return np.log(xs) - 0.5 * inv - tail + shift
 
 
-def trigamma(x):
-    """Second derivative of log Gamma; backward rule for the digamma opcode."""
-    x = _as_f64(x)
-    if np.any(x <= 0.0):
-        raise ValueError(f"trigamma requires positive argument, got {np.min(x)}")
-    shift = np.zeros_like(x)
-    xs = np.array(x, copy=True)
-    for _ in range(10):
-        mask = xs < 10.0
-        if not np.any(mask):
-            break
-        shift = shift + np.where(mask, 1.0 / (xs * xs), 0.0)
-        xs = np.where(mask, xs + 1.0, xs)
-    inv = 1.0 / xs
-    inv2 = inv * inv
-    tail = inv * (1.0 + inv * (0.5 + inv * (1.0 / 6.0 - inv2 * (1.0 / 30.0 - inv2 * (
-        1.0 / 42.0 - inv2 * (1.0 / 30.0 - inv2 * 5.0 / 66.0))))))
-    return tail + shift
-
-
 def softplus(x):
     """log(1 + exp(x)), overflow-safe: max(x, 0) + log1p(exp(-|x|))."""
     x = _as_f64(x)

@@ -158,25 +158,6 @@ def _register_ops():
 
     _op("lgamma")((_lgamma_fwd, lambda g, v, out, aux: [g * special.digamma(v[0])]))
 
-    def _digamma_fwd(v, aux):
-        _check_positive("digamma", v[0])
-        return special.digamma(v[0])
-
-    _op("digamma")((_digamma_fwd, lambda g, v, out, aux: [g * special.trigamma(v[0])]))
-
-    def _pow_fwd(v, aux):
-        base, expo = v
-        if np.any(base <= 0.0):
-            raise DomainError("pow", float(np.asarray(base)[np.asarray(base) <= 0.0].flat[0]))
-        return base ** expo
-
-    def _pow_bwd(g, v, out, aux):
-        base, expo = v
-        return [_unbroadcast(g * expo * base ** (expo - 1.0), base.shape),
-                _unbroadcast(g * out * np.log(base), expo.shape)]
-
-    _op("pow")((_pow_fwd, _pow_bwd))
-
     def _sum_bwd(g, v, out, aux):
         axis = aux
         if axis is None:
@@ -192,8 +173,6 @@ def _register_ops():
         return [np.expand_dims(g, aux) * sm]
 
     _op("logsumexp")((lambda v, aux: special.logsumexp(v[0], aux), _lse_bwd))
-    _op("dot")((lambda v, aux: v[0] @ v[1],
-                lambda g, v, out, aux: [g * v[1], g * v[0]]))
     _op("matvec")((lambda v, aux: v[0] @ v[1],
                    lambda g, v, out, aux: [np.outer(g, v[1]), v[0].T @ g]))
     _op("matmul")((lambda v, aux: v[0] @ v[1],
@@ -229,8 +208,6 @@ def _register_ops():
 
 
 _register_ops()
-
-SUPPORTED_OPCODES = frozenset(_FORWARD)
 
 
 class Tape:
@@ -292,16 +269,6 @@ class Tape:
         self.values.append(out)
         return NodeId(idx)
 
-    def replay(self) -> list[np.ndarray]:
-        """Recompute every node value from the leaves (debug invariant)."""
-        vals: list[np.ndarray] = []
-        for op, ins, aux in zip(self._ops, self._inputs, self._aux):
-            if op in ("const", "leaf"):
-                vals.append(aux)
-            else:
-                vals.append(np.asarray(_FORWARD[op]([vals[i] for i in ins], aux)))
-        return vals
-
     # -- node constructors ----------------------------------------------------
 
     def const(self, value) -> NodeId:
@@ -352,12 +319,6 @@ class Tape:
     def lgamma(self, a):
         return self.record("lgamma", (self._lift(a),))
 
-    def digamma(self, a):
-        return self.record("digamma", (self._lift(a),))
-
-    def pow(self, a, b):
-        return self.record("pow", (self._lift(a), self._lift(b)))
-
     def square(self, a):
         a = self._lift(a)
         return self.record("mul", (a, a))
@@ -377,9 +338,6 @@ class Tape:
         a = self._lift(a)
         n = self.val(a).size if axis is None else self.val(a).shape[axis]
         return self.sub(self.logsumexp(a, axis=axis), float(np.log(n)))
-
-    def dot(self, a, b):
-        return self.record("dot", (self._lift(a), self._lift(b)))
 
     def matvec(self, m, v):
         return self.record("matvec", (self._lift(m), self._lift(v)))

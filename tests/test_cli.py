@@ -11,7 +11,10 @@ import pytest
 from hvi.cli import main
 from hvi.config import ConfigError, ExperimentConfig, load_config
 from hvi.idx import IdxFormatError, load_idx, write_idx_images, write_idx_labels
+from hvi.models import make_mini_vae, save_params
+from hvi.rng import RngStream
 from hvi.runrecord import HEADER, CsvWriter, RunRecord
+from hvi.tape import ParamStore
 
 
 class TestConfig:
@@ -154,6 +157,24 @@ class TestCliSurface:
         code = run_cli(["vae-train", "--data-path", str(tmp_path),
                         "--out", str(tmp_path / "o.csv"), "--epochs", "1"])
         assert code == 3
+
+    @pytest.mark.parametrize("fault, block", [("missing", "enc.w0"), ("unknown", "enc.w_old"),
+                                              ("misshaped", "tau.b0")])
+    def test_checkpoint_blocks_must_match_arch(self, tmp_path, data_dir, capsys, fault, block):
+        vae = make_mini_vae(784, 2, 2, (4,), RngStream(0))
+        store = ParamStore()
+        store.add("meta.arch", [784, 2, 2, 4])
+        for name in vae.store.names():
+            if name != block:
+                store.add(name, vae.store[name])
+        if fault != "missing":
+            store.add(block, np.zeros(5))
+        ck = str(tmp_path / "m.ckpt")
+        save_params(ck, store)
+        code = run_cli(["vae-eval", "--data-path", data_dir, "--checkpoint", ck,
+                        "--out", str(tmp_path / "e.csv")])
+        assert code == 3
+        assert repr(block) in capsys.readouterr().err
 
     def test_bounds_check_runs_and_validates(self, tmp_path):
         out = str(tmp_path / "bc.csv")

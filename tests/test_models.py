@@ -430,6 +430,16 @@ class TestTauAdapters:
         with pytest.raises(UnsupportedModelError):
             posterior_tau(m)
 
+    def test_zero_marginal_z_has_no_posterior(self):
+        # z = 1 never occurs: posterior_psi raises, posterior_tau falls back to q(psi).
+        m = make_discrete_hvm([0.5, 0.5], [[1.0, 0.0], [1.0, 0.0]])
+        with pytest.raises(ValueError, match="z = 1"):
+            m.finite.posterior_psi(1)
+        t = Tape(requires_grad=False)
+        lp = t.val(posterior_tau(m).log_prob(np.array([0, 1]), np.array([1, 1]),
+                                             np.zeros((2, 0)), t))
+        np.testing.assert_allclose(np.exp(lp), [0.5, 0.5], rtol=1e-15)
+
     @pytest.mark.parametrize("kind", ["prior", "posterior", "table"])
     def test_derived_sample_and_score_agrees_with_separate_paths(self, kind):
         # tau without a conditioner gets sample_and_score from sample + log_prob.

@@ -29,10 +29,8 @@ def test_uniform_consumption_counts():
     assert r.uniforms_consumed == 7 + 10          # Box-Muller: 2 per draw
     r.exponential(2.0, (4,))
     assert r.uniforms_consumed == 17 + 4          # inverse CDF: 1 per draw
-    r.laplace(0.0, 1.0, (6,))
-    assert r.uniforms_consumed == 21 + 6
     r.categorical([0.2, 0.8])
-    assert r.uniforms_consumed == 28
+    assert r.uniforms_consumed == 22
 
     before = r.uniforms_consumed
     r.gamma(np.full(10, 2.0))
@@ -45,8 +43,6 @@ def test_moment_sanity():
     assert abs(n.mean()) < 4e-3 and abs(n.var() - 1) < 6e-3
     e = r.exponential(0.5, (10 ** 6,))
     assert abs(e.mean() - 2.0) < 0.01
-    l = r.laplace(1.0, 2.0, (10 ** 6,))
-    assert abs(l.mean() - 1.0) < 0.02 and abs(l.var() - 8.0) < 0.12
     g = r.gamma(np.full(10 ** 6, 3.0), 2.0)
     assert abs(g.mean() - 1.5) < 0.01 and abs(g.var() - 0.75) < 0.01
 
