@@ -128,8 +128,6 @@ def _parse_value(name: str, raw: str, current):
             if name == "variants":
                 return [p.strip() for p in raw.split(",") if p.strip()]
             return [int(p) for p in raw.split(",") if p.strip()]
-        if isinstance(current, bool):
-            return raw.lower() in ("1", "true", "yes")
         if isinstance(current, int):
             return int(raw)
         if isinstance(current, float):

@@ -222,8 +222,9 @@ def _vae_checkpoint_meta(cfg) -> np.ndarray:
 
 
 def run_vae(cfg: ExperimentConfig) -> CsvWriter:
-    if cfg.estimator == "dreg" and cfg.warmup_inner_kl > 0:
-        raise ConfigError("estimator=dreg assumes the unwarmed bound; disable warmup_inner_kl")
+    for name in ("warmup_inner_kl", "warmup_outer_kl"):
+        if cfg.estimator == "dreg" and getattr(cfg, name) > 0:
+            raise ConfigError(f"estimator=dreg assumes the unwarmed bound; disable {name}")
     out = CsvWriter(cfg.out)
     base = RngStream(cfg.seed)
     images = _load_images(cfg)
@@ -300,9 +301,13 @@ def load_vae_checkpoint(path: str) -> tuple[MiniVae, dict]:
         raise DataError(f"corrupt checkpoint {path}: {exc}") from exc
     if "meta.arch" not in blocks:
         raise DataError(f"checkpoint {path} lacks the meta.arch block")
-    arch = blocks["meta.arch"].astype(int)
-    vae = make_mini_vae(int(arch[0]), int(arch[1]), int(arch[2]), tuple(int(h) for h in arch[3:]),
-                        RngStream(0))
+    arch = blocks["meta.arch"]
+    if (arch.ndim != 1 or arch.size < 3 or not np.all(np.isfinite(arch))
+            or np.any(arch != np.round(arch)) or np.any(arch < 1)):
+        raise DataError(f"checkpoint {path}: meta.arch must hold at least 3 integers >= 1 "
+                        f"(input, z and psi dims, then hidden widths), got {arch.tolist()}")
+    arch = [int(a) for a in arch]
+    vae = make_mini_vae(arch[0], arch[1], arch[2], tuple(arch[3:]), RngStream(0))
     expected = {name: vae.store[name].shape for name in vae.store.names()}
     found = {name: value.shape for name, value in blocks.items() if name != "meta.arch"}
     for name in sorted(expected.keys() | found.keys()):

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import special
+from . import dists, special
 from .bounds import BoundConfig
 from .models import (AuxiliaryInference, ExplicitPrior, Generative, HierarchicalModel,
                      UnsupportedModelError, log_joint, rep_rows, sample_joint)
@@ -23,7 +23,6 @@ from .tape import ParamStore, Tape
 @dataclass
 class GradEstimate:
     grads: dict[str, np.ndarray]
-    estimator: str                 # AUTODIFF | IWHVI_DREG
 
 
 def grad_autodiff(build, store: ParamStore, rng: RngStream,
@@ -37,7 +36,7 @@ def grad_autodiff(build, store: ParamStore, rng: RngStream,
     obj = build(t, rng)
     gmap = t.backward(obj)
     grads = {n: g for n, g in t.param_grads(gmap).items() if n.startswith(param_prefix)}
-    return GradEstimate(grads=grads, estimator="AUTODIFF")
+    return GradEstimate(grads=grads)
 
 
 def grad_iwhvi_dreg(gen: Generative, q: HierarchicalModel, tau: AuxiliaryInference,
@@ -47,30 +46,36 @@ def grad_iwhvi_dreg(gen: Generative, q: HierarchicalModel, tau: AuxiliaryInferen
 
     Builds a surrogate whose autodiff gradient equals the estimator: frozen
     softmax weights over replicas (alpha) and over the K+1 denominator terms
-    (beta) multiply per-draw log ratios evaluated with tau's parameters
-    stopped (only the pathwise psi dependence stays live), plus the psi_0
-    score-like term with parameters live.  The weights come from the same log
-    weights the bound uses.  Explicit priors only; the hierarchical-prior
-    case is nested importance weighting and out of scope.
+    (beta), from the log weights the bound uses, multiply per-draw log ratios,
+    plus the psi_0 score-like term.  tau's conditioner runs once, on z: psi_0
+    is scored with its parameter nodes live, the K draws against their
+    ``stop_gradient``.  That is exact for tau's blocks, the only ones
+    returned, since z does not depend on them.  Explicit priors and
+    ``conditional_tau`` only: the hierarchical-prior case is nested importance
+    weighting, and discrete draws have no pathwise gradient.
     """
     if not isinstance(gen.prior, ExplicitPrior):
         raise UnsupportedModelError("DReG gradient requires an explicit prior")
+    if tau.params is None:
+        raise UnsupportedModelError("DReG gradient requires a tau with a conditioner")
     M, K = config.M, config.K
     B = x.shape[0]
     t = Tape()
     psi0, z = sample_joint(q, x, rng, t, rows=M * B)
+    p = tau.params(z, x, t)
 
     # k = 0 term: log weight value for the coefficients, plus the score-like
     # node carrying tau's explicit parameter dependence.
-    ltau0_live = tau.log_prob(psi0, z, x, t, stop_params=False)
+    ltau0_live = dists.log_prob(tau.family(*p), psi0, t)
     lw0 = np.asarray(t.val(log_joint(q, z, psi0, x, t))) - np.asarray(t.val(ltau0_live))
 
     if K > 0:
-        psis = tau.sample(z, x, K, rng, t)
-        z_rep = rep_rows(z, K, t)
-        # eta frozen inside the density, psi path live: exactly grad_psi beta.
-        lw_tail = t.sub(log_joint(q, z_rep, psis, x, t),
-                        tau.log_prob(psis, z_rep, x, t, stop_params=True))
+        p_rep = [t.tile_rows(v, K) for v in p]
+        psis = dists.sample_reparam(tau.family(*p_rep), rng, t)
+        # eta stopped inside the density, psi path live: exactly grad_psi beta.
+        stopped = tau.family(*(t.stop_gradient(v) for v in p_rep))
+        lw_tail = t.sub(log_joint(q, rep_rows(z, K, t), psis, x, t),
+                        dists.log_prob(stopped, psis, t))
         lw_tail = t.reshape(lw_tail, (K, M * B))
         lw_all = np.concatenate([lw0[None, :], np.asarray(t.val(lw_tail))], axis=0)
     else:
@@ -95,14 +100,13 @@ def grad_iwhvi_dreg(gen: Generative, q: HierarchicalModel, tau: AuxiliaryInferen
         term0 = t.sum(t.mul(t.const(coef0), ltau0_live))
         total = term0 if total is None else t.add(total, term0)
     if total is None:
-        return GradEstimate(grads={n: np.zeros_like(store[n]) for n in tau.param_names},
-                            estimator="IWHVI_DREG")
+        return GradEstimate(grads={n: np.zeros_like(store[n]) for n in tau.param_names})
     gmap = t.backward(total)
     grads = t.param_grads(gmap)
     out = {}
     for name in tau.param_names:
         out[name] = grads.get(name, np.zeros_like(store[name]))
-    return GradEstimate(grads=out, estimator="IWHVI_DREG")
+    return GradEstimate(grads=out)
 
 
 # ---------------------------------------------------------------------------

@@ -95,27 +95,27 @@ def sample_joint(model: HierarchicalModel, x, rng: RngStream, t: Tape, rows: int
 class AuxiliaryInference:
     """Conditional density tau(psi | z, x) with reparameterized sampling.
 
-    ``sample(z, x, k, rng, tape)`` returns k draws per row stacked k-major:
-    block j of rows holds the j-th draw for every row.  All implemented tau
-    have full support on psi's domain, so support domination holds by
-    construction.
-
     ``sample_and_score(z, x, k, first, rng, tape)`` is how the bound
     estimators draw from and score tau: it returns ``psis`` = [first; k
     draws] stacked k-major (the k draws alone when ``first`` is None) and log
-    tau(psis | z, x) over all of their blocks, with tau's parameters live.  A
-    tau with a conditioner (``conditional_tau``) runs it once there; any other
-    tau gets the path derived from ``sample`` and ``log_prob``.
+    tau(psis | z, x) over all of their blocks, with tau's parameters live.
+    All implemented tau have full support on psi's domain, so support
+    domination holds by construction.
 
-    ``log_prob(..., stop_params=True)`` is the one place tau's parameters are
-    stopped: the density then passes gradient only to psi and z.  The DReG
-    estimator (``grads.grad_iwhvi_dreg``) is its one caller.
+    A tau with a conditioner (``conditional_tau``) exposes it as ``params``
+    and ``family``: ``family(*params(z, x, tape))`` is tau's density on the
+    rows of z, a ``dists`` spec whose parameter nodes the DReG estimator
+    (``grads.grad_iwhvi_dreg``) stops once.  Any other tau gives ``sample``
+    instead, k draws per row stacked k-major, and ``sample_and_score`` is
+    derived from it and ``log_prob``.
     """
 
-    log_prob: Callable            # (psi, z, x, tape, stop_params=False) -> (rows,)
-    sample: Callable              # (z, x, k, rng, tape) -> psi stacked k-major
+    log_prob: Callable            # (psi, z, x, tape) -> (rows,)
+    sample: Callable = None       # (z, x, k, rng, tape) -> psi stacked k-major
     param_names: tuple = ()
     sample_and_score: Callable = None     # derived from sample + log_prob when None
+    params: Callable = None       # (z, x, tape) -> parameter nodes, one row per z row
+    family: Callable = None       # parameter nodes -> dists spec
     # The model whose q(psi | x) this tau is (``prior_tau``), else None.
     prior_of: HierarchicalModel | None = None
 
@@ -135,25 +135,22 @@ def _sample_then_score(sample, log_prob, z, x, k, first, rng, t):
 
 
 def conditional_tau(params: Callable, family: Callable, param_names: tuple) -> AuxiliaryInference:
-    """tau(psi | z, x) = family(*params(z, x, tape, stop_params)), row by row.
+    """tau(psi | z, x) = family(*params(z, x, tape)), row by row.
 
     ``params`` returns per-row parameter nodes of shape (rows, psi_dim);
     ``family`` maps them to a ``dists`` spec that ``dists.sample_reparam``
-    can draw from.  Builds log_prob, sample and the fused sample_and_score,
-    which runs ``params`` once on the rows of z.
+    can draw from.  Builds log_prob and the fused sample_and_score, which
+    runs ``params`` once on the rows of z.
     """
 
-    def log_prob(psi, z, x, t, stop_params=False):
-        return dists.log_prob(family(*params(z, x, t, stop_params)), psi, t)
+    def log_prob(psi, z, x, t):
+        return dists.log_prob(family(*params(z, x, t)), psi, t)
 
     def draw(p, k, rng, t):
         return dists.sample_reparam(family(*(t.tile_rows(v, k) for v in p)), rng, t)
 
-    def sample(z, x, k, rng, t):
-        return draw(params(z, x, t, False), k, rng, t)
-
     def sample_and_score(z, x, k, first, rng, t):
-        p = params(z, x, t, False)
+        p = params(z, x, t)
         if first is None:
             spec = family(*(t.tile_rows(v, k) for v in p))
             psis = dists.sample_reparam(spec, rng, t)
@@ -164,8 +161,8 @@ def conditional_tau(params: Callable, family: Callable, param_names: tuple) -> A
         psis = cat_rows([first, draw(p, k, rng, t)], t) if k > 0 else first
         return psis, dists.log_prob(family(*p_all), psis, t)
 
-    return AuxiliaryInference(log_prob=log_prob, sample=sample, param_names=param_names,
-                              sample_and_score=sample_and_score)
+    return AuxiliaryInference(log_prob=log_prob, param_names=param_names,
+                              sample_and_score=sample_and_score, params=params, family=family)
 
 
 @dataclass
@@ -252,8 +249,7 @@ class MlpCond:
     passed, every layer (heads included) acts on its input concatenated with
     it.  A sigmoid gate output (weights zero-initialized, bias -5) blends each
     head with a fixed fallback parameter so a freshly initialized conditional
-    sits on its fallback prior.  ``frozen=True`` puts every parameter behind
-    ``stop_gradient``.
+    sits on its fallback prior.
 
     The leading block of the first layer may hold per-observation rows (B
     rows of x, or ``inputs`` when it is x) under n·B sample rows: it meets
@@ -266,10 +262,9 @@ class MlpCond:
     layer_sizes: tuple
     heads: tuple
 
-    def apply(self, t: Tape, inputs, extra=None, frozen: bool = False, x=None) -> dict:
+    def apply(self, t: Tape, inputs, extra=None, x=None) -> dict:
         def p(name):
-            node = t.param(self.store, f"{self.prefix}.{name}")
-            return t.stop_gradient(node) if frozen else node
+            return t.param(self.store, f"{self.prefix}.{name}")
 
         def lift(v):
             return v if isinstance(v, NodeId) else t.const(v)
@@ -452,24 +447,22 @@ def make_discrete_tau(model: HierarchicalModel, probs=None, store: ParamStore | 
         if probs.shape != (info.z_size, info.psi_size):
             raise ValueError("tau table has wrong shape")
 
-    def _log_table(t: Tape, stop_params: bool):
+    def _log_table(t: Tape):
         if store is not None:
             node = t.param(store, name)
-            if stop_params:
-                node = t.stop_gradient(node)
             norm = t.reshape(t.logsumexp(node, axis=1), (info.z_size, 1))
             return t.sub(node, norm)
         return t.const(_safe_log(probs))
 
-    def log_prob(psi, z, x, t, stop_params=False):
+    def log_prob(psi, z, x, t):
         flat_codes = np.asarray(z, dtype=np.int64) * info.psi_size + np.asarray(psi, dtype=np.int64)
         if store is None:
             return _gather_const(t, _safe_log(probs), flat_codes)
-        table = _log_table(t, stop_params)   # (z_size, psi_size) log softmax
+        table = _log_table(t)   # (z_size, psi_size) log softmax
         return _gather_log(t, t.reshape(table, (info.z_size * info.psi_size,)), flat_codes)
 
     def sample(z, x, k, rng, t):
-        table = np.exp(t.val(_log_table(Tape(requires_grad=False), True)))
+        table = np.exp(t.val(_log_table(Tape(requires_grad=False))))
         codes = np.asarray(z, dtype=np.int64)
         out = [np.array([rng.categorical(table[int(c)]) for c in codes], dtype=np.int64)
                for _ in range(k)]
@@ -496,7 +489,7 @@ def posterior_tau(model: HierarchicalModel) -> AuxiliaryInference:
 def prior_tau(model: HierarchicalModel) -> AuxiliaryInference:
     """tau := q(psi | x), the SIVI choice; inherits the model's own sampler."""
 
-    def log_prob(psi, z, x, t, stop_params=False):
+    def log_prob(psi, z, x, t):
         return model.log_psi_prior(psi, x, t)
 
     def sample(z, x, k, rng, t):
@@ -557,10 +550,10 @@ def make_gamma_mlp_tau(dim: int, hidden: tuple, store: ParamStore, rng: RngStrea
              HeadSpec("rate", dim, "positive", 0.5))
     mlp = init_mlp_cond(store, prefix, 2 * dim, tuple(hidden), heads, rng)
 
-    def params(z, x, t, stop_params):
+    def params(z, x, t):
         zn = z if isinstance(z, NodeId) else t.const(z)
         feats = t.concat([zn, t.abs(zn)], axis=1)
-        out = mlp.apply(t, feats, frozen=stop_params)
+        out = mlp.apply(t, feats)
         return out["concentration"], out["rate"]
 
     return conditional_tau(params, dists.gamma, mlp.param_names())
@@ -619,11 +612,9 @@ def make_snr_task(store: ParamStore | None = None, rng: RngStream | None = None)
 
     std = np.sqrt(SNR_TAU_VAR)
 
-    def tau_mean(z, x, t, stop_params):
+    def tau_mean(z, x, t):
         A = t.param(store, "snr.A")
         b = t.param(store, "snr.b")
-        if stop_params:
-            A, b = t.stop_gradient(A), t.stop_gradient(b)
         zn = z if isinstance(z, NodeId) else t.const(z)
         return (t.add(t.matmul(zn, A), t.reshape(b, (1, SNR_DIM))),)
 
@@ -704,8 +695,8 @@ def make_mini_vae(input_dim: int = 784, z_dim: int = 8, psi_dim: int = 8,
                           sample_psi=sample_psi, sample_z=sample_z,
                           log_psi_prior=log_psi_prior, log_z_given_psi=log_z_given_psi)
 
-    def tau_params(z, x, t, stop_params):
-        out = tau_net.apply(t, z, x=np.asarray(x, dtype=np.float64), frozen=stop_params)
+    def tau_params(z, x, t):
+        out = tau_net.apply(t, z, x=np.asarray(x, dtype=np.float64))
         return out["mean"], out["stddev"]
 
     tau = conditional_tau(tau_params, dists.normal, tau_net.param_names())

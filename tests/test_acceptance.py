@@ -70,7 +70,7 @@ def _fixed_tau(log_table, draws_k_major):
     """Finite tau with pinned draws: identity checks feed both code paths the
     same materialized samples."""
 
-    def log_prob(psi, z, x, t, stop_params=False):
+    def log_prob(psi, z, x, t):
         flat = log_table[np.asarray(z, dtype=np.int64), np.asarray(psi, dtype=np.int64)]
         return t.const(flat)
 

@@ -64,7 +64,7 @@ def gaussian_wrap(mean, std, dim=1):
 def wrap_tau(dim=1):
     d = dists.normal(0.0, 1.0)
 
-    def log_prob(psi, z, x, t, stop_params=False):
+    def log_prob(psi, z, x, t):
         return dists.log_prob(d, psi, t)
 
     def sample(z, x, k, rng, t):
@@ -443,7 +443,7 @@ class TestExpectedKlTauPrior:
     def test_two_gaussians_give_half(self):
         m = gaussian_wrap(0.0, 1.0)
 
-        def log_prob(psi, z, x, t, stop_params=False):
+        def log_prob(psi, z, x, t):
             return dists.log_prob(dists.normal(1.0, 1.0), psi, t)
 
         def sample(z, x, k, rng, t):
@@ -495,7 +495,7 @@ def make_tau_all_zero_weight(m):
     # tau concentrated on a support point where the joint is zero for z=1.
     table = np.array([[1.0, 0.0], [0.0, 1.0]])
 
-    def log_prob(psi, z, x, t, stop_params=False):
+    def log_prob(psi, z, x, t):
         with np.errstate(divide="ignore"):
             lt = np.where(table[np.asarray(z, dtype=np.int64),
                                 np.asarray(psi, dtype=np.int64)] > 0, 0.0, -np.inf)

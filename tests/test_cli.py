@@ -176,6 +176,23 @@ class TestCliSurface:
         assert code == 3
         assert repr(block) in capsys.readouterr().err
 
+    @pytest.mark.parametrize("arch", [[784], [784, 0, 2, 4], [784, 2.5, 2, 4]],
+                             ids=["short", "zero", "fractional"])
+    def test_malformed_arch_is_data_error(self, tmp_path, data_dir, capsys, arch):
+        # The blocks are those of the 784-2-2-4 VAE, which a truncated
+        # fractional arch would match.
+        vae = make_mini_vae(784, 2, 2, (4,), RngStream(0))
+        store = ParamStore()
+        store.add("meta.arch", arch)
+        for name in vae.store.names():
+            store.add(name, vae.store[name])
+        ck = str(tmp_path / "m.ckpt")
+        save_params(ck, store)
+        code = run_cli(["vae-eval", "--data-path", data_dir, "--checkpoint", ck,
+                        "--out", str(tmp_path / "e.csv")])
+        assert code == 3
+        assert "meta.arch" in capsys.readouterr().err
+
     def test_bounds_check_runs_and_validates(self, tmp_path):
         out = str(tmp_path / "bc.csv")
         assert run_cli(["bounds-check", "--out", out, "--seed", "3",
@@ -268,9 +285,10 @@ class TestVaeSmoke:
                         "--epochs", "2", "--seed", "2", "--estimator", "dreg",
                         "--out", out]) == 0
 
-    def test_dreg_with_inner_warmup_is_config_error(self, tmp_path, data_dir):
+    @pytest.mark.parametrize("key", ["warmup_inner_kl", "warmup_outer_kl"])
+    def test_dreg_with_inner_warmup_is_config_error(self, tmp_path, data_dir, key):
         cfgf = tmp_path / "c.cfg"
-        cfgf.write_text("warmup_inner_kl = 10\n")
+        cfgf.write_text(f"{key} = 10\n")
         code = run_cli(["vae-train", "--config", str(cfgf), "--data-path", data_dir,
                         "--estimator", "dreg", "--out", str(tmp_path / "x.csv"),
                         "--epochs", "1", "--subset-size", "128"])

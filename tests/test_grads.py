@@ -5,11 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from hvi import dists, oracle
+from hvi import dists, oracle, special
 from hvi.bounds import BoundConfig, diwhvi_elbo
 from hvi.grads import grad_autodiff, grad_iwhvi_dreg, measure_snr
-from hvi.models import (UnsupportedModelError, HierarchicalPrior, flat_generative,
-                        make_discrete_hvm, make_discrete_tau, make_snr_task, Generative)
+from hvi.models import (SNR_DIM, SNR_TAU_VAR, MlpCond, UnsupportedModelError, HierarchicalPrior,
+                        flat_generative, log_joint, make_discrete_hvm, make_discrete_tau,
+                        make_mini_vae, make_snr_task, n_rows, sample_joint, Generative)
 from hvi.rng import RngStream
 from hvi.tape import ParamStore, Tape
 
@@ -77,6 +78,43 @@ def snr_setup(at_optimum=False, seed=0):
     return model, tau, store
 
 
+def dreg_reference_surrogate_grads(gen, model, store, x, M, K, rng):
+    """tau's DReG gradient on the SNR task from a surrogate that stops A and b
+    with ``stop_gradient`` inside the tail density, evaluated on z tiled K
+    times: frozen replica weights alpha and term weights beta times the psi_0
+    log density (live) and the K per-draw log ratios (pathwise only)."""
+    B = x.shape[0]
+    std = math.sqrt(SNR_TAU_VAR)
+    t = Tape()
+
+    def mean(z, stop):
+        A, b = t.param(store, "snr.A"), t.param(store, "snr.b")
+        if stop:
+            A, b = t.stop_gradient(A), t.stop_gradient(b)
+        return t.add(t.matmul(z, A), t.reshape(b, (1, SNR_DIM)))
+
+    psi0, z = sample_joint(model, x, rng, t, rows=M * B)
+    ltau0 = dists.log_prob(dists.normal(mean(z, False), std), psi0, t)
+    lw = [np.asarray(t.val(log_joint(model, z, psi0, x, t))) - np.asarray(t.val(ltau0))]
+    if K > 0:
+        psis = dists.sample_reparam(dists.normal(t.tile_rows(mean(z, False), K), std), rng, t)
+        z_rep = t.tile_rows(z, K)
+        lw_tail = t.reshape(t.sub(log_joint(model, z_rep, psis, x, t),
+                                  dists.log_prob(dists.normal(mean(z_rep, True), std), psis, t)),
+                            (K, M * B))
+        lw.extend(np.asarray(t.val(lw_tail)))
+    lw = np.stack(lw)
+    lik = np.asarray(t.val(gen.log_lik(x, z, t))) + np.asarray(t.val(gen.prior.log_prob(z, t)))
+    r = (lik - special.logsumexp(lw, axis=0) + np.log(K + 1)).reshape(M, B)
+    alpha = special.softmax(r, axis=0).reshape(M * B)
+    beta = special.softmax(lw, axis=0)
+    total = t.sum(t.mul(t.const(alpha * beta[0] / B), ltau0))
+    if K > 0:
+        coef = (alpha * (alpha - 2.0))[None, :] * beta[1:] ** 2 / B
+        total = t.add(total, t.sum(t.mul(t.const(coef), lw_tail)))
+    return t.param_grads(t.backward(total))
+
+
 class TestDreg:
     def test_requires_explicit_prior(self):
         model, tau, store = snr_setup()
@@ -85,6 +123,45 @@ class TestDreg:
         with pytest.raises(UnsupportedModelError):
             grad_iwhvi_dreg(gen, model, tau, np.zeros((4, 0)), BoundConfig(M=1, K=1),
                             store, RngStream(0))
+
+    def test_requires_tau_with_conditioner(self):
+        # Discrete draws have no pathwise gradient: a tau without params raises.
+        model = make_discrete_hvm([0.4, 0.6], [[0.7, 0.3], [0.1, 0.9]])
+        store = ParamStore()
+        store.add("tau.logits", np.zeros((2, 2)))
+        tau = make_discrete_tau(model, store=store)
+        with pytest.raises(UnsupportedModelError):
+            grad_iwhvi_dreg(flat_generative(), model, tau, np.zeros((4, 0)),
+                            BoundConfig(M=1, K=1), store, RngStream(0))
+
+    @pytest.mark.parametrize("M,K", [(1, 0), (1, 4), (3, 4)])
+    def test_matches_surrogate_with_stopped_weights(self, M, K):
+        # The estimator stops tau's parameter nodes once; this reference stops
+        # A and b themselves and scores the K draws on tiled z.  Both give the
+        # same gradient for tau's blocks, since z does not depend on them.
+        model, tau, store = snr_setup(at_optimum=False)
+        gen = flat_generative()
+        x = np.zeros((7, 0))
+        got = grad_iwhvi_dreg(gen, model, tau, x, BoundConfig(M=M, K=K), store, RngStream(5))
+        want = dreg_reference_surrogate_grads(gen, model, store, x, M, K, RngStream(5))
+        for n in ("snr.A", "snr.b"):
+            np.testing.assert_allclose(got.grads[n], want[n], rtol=1e-12, err_msg=n)
+
+    def test_vae_tau_conditioner_runs_once_on_the_rows_of_z(self, monkeypatch):
+        vae = make_mini_vae(12, 3, 3, (8,), RngStream(1))
+        x = (np.random.default_rng(0).random((4, 12)) < 0.4).astype(float)
+        rows = []
+        apply = MlpCond.apply
+
+        def counted(self, t, inputs, *args, **kwargs):
+            if self.prefix == "tau":
+                rows.append(n_rows(inputs, t))
+            return apply(self, t, inputs, *args, **kwargs)
+
+        monkeypatch.setattr(MlpCond, "apply", counted)
+        grad_iwhvi_dreg(vae.gen, vae.q, vae.tau, x, BoundConfig(M=2, K=3), vae.store,
+                        RngStream(0))
+        assert rows == [2 * 4]
 
     def test_k0_reduces_to_weighted_score_term(self):
         # With K = 0 the k-sum is empty and softmax(beta)_0 = 1: the gradient
@@ -97,7 +174,7 @@ class TestDreg:
         def build(t, rng):
             from hvi.models import sample_joint
             psi0, z = sample_joint(model, x, rng, t)
-            lt = tau.log_prob(psi0, z, x, t, stop_params=False)
+            lt = tau.log_prob(psi0, z, x, t)
             return t.mean(lt)
 
         want = grad_autodiff(build, store, RngStream(3), param_prefix="snr.")
@@ -133,7 +210,7 @@ class TestDreg:
         store = ParamStore()
         theta = np.ones(1)
         from hvi import dists as D
-        from hvi.models import AuxiliaryInference, HierarchicalModel
+        from hvi.models import HierarchicalModel, conditional_tau
 
         def sample_psi(x, rows, rng, t):
             return t.const(theta + rng.normal((rows, 1)))
@@ -149,20 +226,12 @@ class TestDreg:
         store.add("snr.b", np.array([0.58]))
         std = math.sqrt(2.0 / 3.0)
 
-        def tau_mean(z, t, stop):
+        def tau_mean(z, x, t):
             A, b = t.param(store, "snr.A"), t.param(store, "snr.b")
-            if stop:
-                A, b = t.stop_gradient(A), t.stop_gradient(b)
-            return t.add(t.matmul(z if not isinstance(z, np.ndarray) else t.const(z), A),
-                         t.reshape(b, (1, 1)))
+            return (t.add(t.matmul(z if not isinstance(z, np.ndarray) else t.const(z), A),
+                          t.reshape(b, (1, 1))),)
 
-        tau = AuxiliaryInference(
-            log_prob=lambda psi, z, x, t, stop_params=False:
-                D.log_prob(D.normal(tau_mean(z, t, stop_params), std), psi, t),
-            sample=lambda z, x, k, rng, t: t.add(
-                t.tile_rows(tau_mean(z, t, False), k),
-                t.const(std * rng.normal((k * np.asarray(t.val(z)).shape[0], 1)))),
-            param_names=("snr.A", "snr.b"))
+        tau = conditional_tau(tau_mean, lambda mean: D.normal(mean, std), ("snr.A", "snr.b"))
 
         gen = flat_generative()
         # closed-form gradient of E[-U_0] w.r.t. (A, b) via the oracle

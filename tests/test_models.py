@@ -231,16 +231,6 @@ class TestMlpCond:
         assert np.all(np.isfinite(mean)) and np.all(np.isfinite(std))
         assert np.all(std > 0)
 
-    def test_frozen_apply_stops_parameter_gradients(self):
-        store = ParamStore()
-        mlp = init_mlp_cond(store, "net", 2, (8,),
-                            (HeadSpec("mean", 1, "identity", 0.0),), RngStream(3))
-        t = Tape()
-        out = mlp.apply(t, np.ones((3, 2)), frozen=True)
-        obj = t.sum(out["mean"])
-        grads = t.param_grads(t.backward(obj))
-        assert all(np.all(g == 0) for g in grads.values())
-
 
 class TestGammaMlpTau:
     def test_initial_tau_matches_exponential_prior(self):
@@ -274,14 +264,20 @@ TAU_CASES = {"gamma": _gamma_case, "snr": _snr_case, "vae": _vae_case}
 
 
 def assert_sample_and_score_matches_separate_paths(tau, z, x, psi0, k=2):
-    """sample_and_score with first = psi0 and first = None against sample,
-    then log_prob on [first; draws] with z and x repeated row-aligned."""
+    """sample_and_score with first = psi0 and first = None against k draws,
+    then log_prob on [first; draws] with z and x repeated row-aligned.  A
+    conditional tau's draws come from its family on tiled parameter rows,
+    any other tau's from its sample."""
     for first in (psi0, None):
         n = k + (first is not None)
         ta = Tape(requires_grad=False)
         psis, lt = tau.sample_and_score(z, x, k, first, RngStream(9), ta)
         tb = Tape(requires_grad=False)
-        draws = tau.sample(z, x, k, RngStream(9), tb)
+        if tau.family is not None:
+            spec = tau.family(*(tb.tile_rows(v, k) for v in tau.params(z, x, tb)))
+            draws = dists.sample_reparam(spec, RngStream(9), tb)
+        else:
+            draws = tau.sample(z, x, k, RngStream(9), tb)
         psis_b = draws if first is None else cat_rows([first, draws], tb)
         lt_b = tau.log_prob(psis_b, rep_rows(z, n, tb), np.tile(x, (n, 1)), tb)
         np.testing.assert_allclose(ta.val(psis), tb.val(psis_b), atol=1e-12)
