@@ -3,9 +3,9 @@ evaluation variants, and the jackknife-debiased estimator.
 
 All weight arithmetic is in log space through a stable log-sum-exp; the toy
 density ratios span tens of nats and linear space would overflow.  Layout
-convention (see ``models``): x keeps its B observation rows and is never
-tiled; with k draws per sample row, stacked sample blocks are k-major, so a
-flat (k*R,) log-weight vector over R sample rows reshapes to (k, R) and
+convention (see ``models``): nothing is tiled; x keeps its B rows, z its R
+rows, and k draws per row of z stack k-major into k·R rows that meet them
+by broadcasting, so a flat (k*R,) log-weight vector reshapes to (k, R) and
 reduces over axis 0.
 
 The joint-sample index psi_0 always occupies slot 0 and is drawn from the
@@ -24,7 +24,7 @@ import numpy as np
 from . import special
 from .models import (AuxiliaryInference, ExplicitPrior, Generative, HierarchicalModel,
                      HierarchicalPrior, UnsupportedModelError, cat_rows, log_joint, n_rows,
-                     prior_tau, rep_rows, sample_joint, with_first)
+                     prior_tau, sample_joint, with_first)
 from .rng import RngStream
 from .tape import NodeId, Tape
 
@@ -104,7 +104,7 @@ def _iw_average(model: HierarchicalModel, aux: AuxiliaryInference, z, x, n: int,
         psis = with_first(first, model.sample_psi(x, n * rows, rng, t) if n > 0 else None, t)
     else:
         psis, laux = aux.sample_and_score(z, x, n, first, rng, t)
-    lw = model.log_z_given_psi(rep_rows(z, m, t), psis, x, t)
+    lw = model.log_z_given_psi(z, psis, x, t)
     if aux.prior_of is not model:
         inner = t.sub(model.log_psi_prior(psis, x, t), laux)
         if w_inner != 1.0:
@@ -134,16 +134,13 @@ def upper_bound_U(q: HierarchicalModel, tau: AuxiliaryInference, z, x, K: int,
     return _finish(t, t.mean(den), lw_mat, den)
 
 
-def upper_bound_U_joint(q, tau, x, K, rng, t: Tape | None = None):
-    """Upper-bound estimator in the joint-sampling context: (psi_0, z) ~ q.
-
-    Returns (Estimate, z) so the caller can reuse the drawn z.
-    """
+def upper_bound_U_joint(q, tau, x, K, rng, t: Tape | None = None) -> Estimate:
+    """Upper-bound estimator in the joint-sampling context: (psi_0, z) ~ q."""
     if t is None:
         t = Tape(requires_grad=False)
     psi0, z = sample_joint(q, x, rng, t)
     den, lw_mat = _iw_average(q, tau, z, x, K, rng, t, first=psi0)
-    return _finish(t, t.mean(den), lw_mat, den), z
+    return _finish(t, t.mean(den), lw_mat, den)
 
 
 def lower_bound_L(q: HierarchicalModel, tau: AuxiliaryInference, z, x, K: int,
@@ -215,8 +212,9 @@ def sivi_reused(gen: Generative, q: HierarchicalModel, x, M: int, K: int,
 
     The denominator uses conditional densities only (tau = q(psi|x) cancels);
     the pool is drawn once and reused for every z_m, so psi sampling is
-    O(M + K) while density evaluation stays M(K+1) per row.  K is the pool
-    size; ``eval_variants`` passes M K for SIVI_EQUISAMPLE.
+    O(M + K) while density evaluation stays M(K+1) per row; z meets psi_0 and
+    each B-row pool entry untiled.  K is the pool size; ``eval_variants``
+    passes M K for SIVI_EQUISAMPLE.
     """
     if not isinstance(gen.prior, ExplicitPrior):
         raise UnsupportedModelError("sample-reuse bound is defined for explicit priors")
@@ -225,10 +223,7 @@ def sivi_reused(gen: Generative, q: HierarchicalModel, x, M: int, K: int,
     B = x.shape[0]
     psi0, z = sample_joint(q, x, rng, t, rows=M * B)
     pool = [q.sample_psi(x, B, rng, t) for _ in range(K)]   # K draws of (B, .)
-    blocks = [psi0] + [rep_rows(p, M, t) for p in pool]
-    psis = cat_rows(blocks, t)
-    z_rep = rep_rows(z, K + 1, t)
-    lcond = q.log_z_given_psi(z_rep, psis, x, t)
+    lcond = cat_rows([q.log_z_given_psi(z, psi, x, t) for psi in [psi0] + pool], t)
     lw_mat = t.reshape(lcond, (K + 1, M * B))
     den = t.logmeanexp(lw_mat, axis=0)
     ratio = t.add(gen.log_lik(x, z, t), t.sub(gen.prior.log_prob(z, t), den))
@@ -319,7 +314,7 @@ def omega_sample(model: HierarchicalModel, tau: AuxiliaryInference, z, x, K: int
     t = Tape(requires_grad=False)
     rows = n_rows(z, t)
     draws, ltau = tau.sample_and_score(z, x, K + 1, None, rng, t)
-    lw = t.val(t.sub(log_joint(model, rep_rows(z, K + 1, t), draws, x, t), ltau))
+    lw = t.val(t.sub(log_joint(model, z, draws, x, t), ltau))
     lw = np.asarray(lw).reshape(K + 1, rows)
     draws_v = t.val(draws) if isinstance(draws, NodeId) else np.asarray(draws)
     draws_v = draws_v.reshape((K + 1, rows) + draws_v.shape[1:])

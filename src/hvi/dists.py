@@ -4,7 +4,9 @@ Every density is written once against the tape; parameters and values may be
 plain arrays (auto-lifted to constants) or live nodes.  Vector-shaped
 parameters mean a per-dimension product over the trailing axis, so a
 ``(rows, d)`` mean/scale pair scores ``(rows, d)`` values to ``(rows,)``
-log densities.
+log densities.  Nothing is tiled: where 2-d values and parameters differ in
+row count, n·R k-major rows meet R rows by broadcasting (the taller side
+viewed as (n, R, d) blocks) and give n·R log densities.
 """
 
 from __future__ import annotations
@@ -63,16 +65,42 @@ def bernoulli(logits) -> DistributionSpec:
 
 
 def _reduce_last(t: Tape, node, value):
-    # (rows, dim) inputs are per-dimension products: sum the trailing axis.
-    # Scalars and 1-d vectors are independent evaluations, left elementwise.
-    if np.asarray(value).ndim >= 2:
-        return t.sum(node, axis=-1)
-    return node
+    # (rows, dim) inputs are per-dimension products: sum the trailing axis;
+    # (n, R, dim) blocks flatten to n·R values.  Scalars and 1-d vectors are
+    # independent evaluations, left elementwise.
+    if np.asarray(value).ndim < 2:
+        return node
+    node = t.sum(node, axis=-1)
+    return t.reshape(node, (-1,)) if np.ndim(t.val(node)) > 1 else node
+
+
+def sample_blocks(rows: int, x_rows: int) -> int:
+    """Number n of k-major sample blocks when ``rows`` = n * ``x_rows``."""
+    if x_rows < 1 or rows % x_rows:
+        raise ValueError(f"{rows} sample rows are not a multiple of the {x_rows} rows of x")
+    return rows // x_rows
+
+
+def _rows(v, t: Tape) -> int:
+    shape = np.shape(t.val(v))
+    return shape[0] if len(shape) == 2 else 0
+
+
+def _as_blocks(v, rows: int, t: Tape):
+    """A (n·rows, d) node or array viewed as (n, rows, d) sample blocks."""
+    shape = np.shape(t.val(v))
+    blocks = (sample_blocks(shape[0], rows), rows, shape[1])
+    return t.reshape(v, blocks) if isinstance(v, NodeId) else np.reshape(v, blocks)
 
 
 def log_prob(dist, value, t: Tape) -> NodeId:
     """Natural-log density, recorded on the tape (differentiable end to end)."""
     p = dist.params
+    v_rows, p_rows = _rows(value, t), max(_rows(v, t) for v in p.values())
+    if v_rows > p_rows > 0:
+        value = _as_blocks(value, p_rows, t)
+    elif p_rows > v_rows > 0:
+        p = {k: _as_blocks(v, v_rows, t) if _rows(v, t) == p_rows else v for k, v in p.items()}
     if dist.kind == "normal":
         z = t.div(t.sub(value, p["mean"]), p["stddev"])
         lp = t.sub(t.mul(-0.5, t.square(z)), t.add(t.log(p["stddev"]), 0.5 * _LOG_2PI))
@@ -101,8 +129,8 @@ def _check_support(kind, value, t, lower, strict=False):
         raise ValueError(f"{kind} log_prob: value outside support ({float(np.min(v))})")
 
 
-def sample_reparam(dist: DistributionSpec, rng: RngStream, t: Tape, shape=None) -> NodeId:
-    """Pathwise-differentiable draw; shape defaults to the broadcast param shape.
+def sample_reparam(dist: DistributionSpec, rng: RngStream, t: Tape, n: int = 1) -> NodeId:
+    """Pathwise-differentiable draw of ``n`` k-major blocks of the param shape.
 
     Normal is location-scale; a plain-array stddev is folded into the noise as
     one constant node.  Exponential inverts one uniform.
@@ -113,19 +141,19 @@ def sample_reparam(dist: DistributionSpec, rng: RngStream, t: Tape, shape=None) 
     if dist.kind not in CONTINUOUS_KINDS:
         raise UnsupportedKindError(f"sample_reparam does not support {dist.kind}")
     p = dist.params
-    if shape is None:
-        shape = np.broadcast_shapes(*(np.asarray(t.val(v)).shape for v in p.values()))
+    base = np.broadcast_shapes(*(np.asarray(t.val(v)).shape for v in p.values()))
+    shape = (n,) + base if n > 1 else base
     if dist.kind == "normal":
         eps = rng.normal(shape)
         if not isinstance(p["stddev"], NodeId):
-            return t.add(p["mean"], t.const(p["stddev"] * eps))
-        return t.add(p["mean"], t.mul(p["stddev"], eps))
-    if dist.kind == "exponential":
-        e = rng.exponential(1.0, shape)
-        return t.div(t.const(e), p["rate"])
-    # gamma
-    return t.gamma_sample(p["concentration"], p["rate"], rng, gamma_implicit_grad,
-                          shape=shape)
+            draws = t.add(p["mean"], t.const(p["stddev"] * eps))
+        else:
+            draws = t.add(p["mean"], t.mul(p["stddev"], eps))
+    elif dist.kind == "exponential":
+        draws = t.div(t.const(rng.exponential(1.0, shape)), p["rate"])
+    else:
+        draws = t.gamma_sample(p["concentration"], p["rate"], rng, gamma_implicit_grad, shape)
+    return t.reshape(draws, (-1,) + base[1:]) if n > 1 and base else draws
 
 
 def gamma_implicit_grad(concentration, rate, sample):

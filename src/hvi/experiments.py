@@ -62,9 +62,8 @@ def _percentiles(values):
 # ---------------------------------------------------------------------------
 
 def _toy_eval(model, tau, K, draws, rng):
-    est, _ = upper_bound_U_joint(model, tau, np.zeros((draws, 0)), K,
-                                 rng, Tape(requires_grad=False))
-    return est.value
+    return upper_bound_U_joint(model, tau, np.zeros((draws, 0)), K,
+                               rng, Tape(requires_grad=False)).value
 
 
 def run_toy_laplace(cfg: ExperimentConfig) -> CsvWriter:
@@ -97,7 +96,7 @@ def run_toy_laplace(cfg: ExperimentConfig) -> CsvWriter:
             record_point(0, cfg.eval_draws)
             for step in range(1, cfg.steps + 1):
                 t = Tape()
-                est, _ = upper_bound_U_joint(model, tau, xb, K, rng, t)
+                est = upper_bound_U_joint(model, tau, xb, K, rng, t)
                 opt.descend(t.param_grads(t.backward(est.node)))
                 if step % cfg.eval_every == 0 and step != cfg.steps:
                     record_point(step, cfg.eval_draws)
@@ -134,7 +133,7 @@ def snr_grad_fn(kind: str, gen, model, tau, store, batch: int, K: int):
         def fn(rng):
             def build(t, r):
                 return diwhvi_elbo(gen, model, tau, None, xb, BoundConfig(M=1, K=K), r, t).node
-            return grad_autodiff(build, store, rng, param_prefix="snr.")
+            return grad_autodiff(build, rng, param_prefix="snr.")
         return fn
     if kind == "dreg":
         def fn(rng):
@@ -147,7 +146,7 @@ def snr_grad_fn(kind: str, gen, model, tau, store, batch: int, K: int):
                 from .models import sample_joint
                 _, z = sample_joint(model, xb, r, t)
                 return lower_bound_L(model, tau, t.const(t.val(z)), xb, max(K, 1), r, t).node
-            return grad_autodiff(build, store, rng, param_prefix="snr.")
+            return grad_autodiff(build, rng, param_prefix="snr.")
         return fn
     raise ValueError(kind)
 

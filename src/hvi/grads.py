@@ -15,7 +15,7 @@ import numpy as np
 from . import dists, special
 from .bounds import BoundConfig
 from .models import (AuxiliaryInference, ExplicitPrior, Generative, HierarchicalModel,
-                     UnsupportedModelError, log_joint, rep_rows, sample_joint)
+                     UnsupportedModelError, log_joint, sample_joint)
 from .rng import RngStream
 from .tape import ParamStore, Tape
 
@@ -25,8 +25,7 @@ class GradEstimate:
     grads: dict[str, np.ndarray]
 
 
-def grad_autodiff(build, store: ParamStore, rng: RngStream,
-                  param_prefix: str = "") -> GradEstimate:
+def grad_autodiff(build, rng: RngStream, param_prefix: str = "") -> GradEstimate:
     """Single forward/backward pass gradient of a tape-recorded objective.
 
     ``build(tape, rng)`` returns the scalar objective node; every sampler on
@@ -63,19 +62,18 @@ def grad_iwhvi_dreg(gen: Generative, q: HierarchicalModel, tau: AuxiliaryInferen
     t = Tape()
     psi0, z = sample_joint(q, x, rng, t, rows=M * B)
     p = tau.params(z, x, t)
+    live = tau.family(*p)
 
     # k = 0 term: log weight value for the coefficients, plus the score-like
     # node carrying tau's explicit parameter dependence.
-    ltau0_live = dists.log_prob(tau.family(*p), psi0, t)
+    ltau0_live = dists.log_prob(live, psi0, t)
     lw0 = np.asarray(t.val(log_joint(q, z, psi0, x, t))) - np.asarray(t.val(ltau0_live))
 
     if K > 0:
-        p_rep = [t.tile_rows(v, K) for v in p]
-        psis = dists.sample_reparam(tau.family(*p_rep), rng, t)
+        psis = dists.sample_reparam(live, rng, t, n=K)
         # eta stopped inside the density, psi path live: exactly grad_psi beta.
-        stopped = tau.family(*(t.stop_gradient(v) for v in p_rep))
-        lw_tail = t.sub(log_joint(q, rep_rows(z, K, t), psis, x, t),
-                        dists.log_prob(stopped, psis, t))
+        stopped = tau.family(*(t.stop_gradient(v) for v in p))
+        lw_tail = t.sub(log_joint(q, z, psis, x, t), dists.log_prob(stopped, psis, t))
         lw_tail = t.reshape(lw_tail, (K, M * B))
         lw_all = np.concatenate([lw0[None, :], np.asarray(t.val(lw_tail))], axis=0)
     else:

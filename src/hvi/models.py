@@ -4,16 +4,17 @@ A hierarchical model is a mixture q(z | x) = integral q(z | psi, x) q(psi | x)
 dpsi exposed through component samplers and log densities; the joint density
 is only ever accessed as the sum log q(psi | x) + log q(z | psi, x).
 
-Batching convention: one sample layout.  The conditioning input ``x`` is a
-plain float array of shape (B, x_dim), x_dim >= 0, one row per observation,
-and is never tiled.  Every sample-shaped value (psi, z, draws of tau) is an
-array or tape node of n·B rows stacked k-major: block j of B rows holds the
-j-th sample for every observation.  Continuous values have shape (n·B, dim);
-finite-support values are integer code arrays of shape (n·B,).  A
-conditional computes its x-only features once on the B rows of x and
-broadcasts them over the n sample blocks; sample rows that are not a
-multiple of x's rows raise ValueError.  An x with as many rows as the
-samples (n = 1) is the plain row-aligned case.
+Batching convention: one sample layout, and nothing is tiled.  ``x`` is a
+plain float array of shape (B, x_dim), x_dim >= 0, one row per observation.
+Every sample-shaped value (psi, z, draws of tau) is an array or tape node of
+n·R rows stacked k-major: block j of R rows holds the j-th sample for every
+row it belongs to; continuous values have shape (n·R, dim), finite-support
+values are int code arrays of shape (n·R,).  Where n·R sample rows meet the
+R rows they belong to (x, z, or tau's parameter rows), the R rows broadcast
+over the n blocks: conditionals compute x-only features on B rows,
+``dists.log_prob`` scores the blocks against R-row parameters, and finite
+tables index codes alike.  Row counts that are not a multiple raise
+ValueError; equal ones (n = 1) are the plain row-aligned case.
 """
 
 from __future__ import annotations
@@ -66,14 +67,17 @@ class FiniteModelInfo:
 
 @dataclass
 class HierarchicalModel:
-    """q(z, psi | x) through its components, plus optional oracle hooks."""
+    """q(z, psi | x) through its components, plus optional oracle hooks.
 
-    psi_dim: int
-    z_dim: int
+    ``log_z_given_psi`` takes untiled z and psi of equal rows or R and n·R
+    rows either way round (the bounds pass R rows of z with n·R of psi, the
+    SIVI pool n·R of z with R of psi), and returns n·R values.
+    """
+
     sample_psi: Callable          # (x, rows, rng, tape) -> psi with ``rows`` rows
     sample_z: Callable            # (psi, x, rng, tape) -> z, one row per psi row
     log_psi_prior: Callable       # (psi, x, tape) -> (rows,)
-    log_z_given_psi: Callable     # (z, psi, x, tape) -> (rows,)
+    log_z_given_psi: Callable     # (z, psi, x, tape) -> one value per taller row
     exact_log_marginal: Callable | None = None          # (z, x) -> (rows,) floats
     sample_psi_posterior: Callable | None = None        # (z, x, rng, tape) -> psi
     finite: FiniteModelInfo | None = None
@@ -99,6 +103,7 @@ class AuxiliaryInference:
     estimators draw from and score tau: it returns ``psis`` = [first; k
     draws] stacked k-major (the k draws alone when ``first`` is None) and log
     tau(psis | z, x) over all of their blocks, with tau's parameters live.
+    ``log_prob(psi, z, x, tape)`` takes n·R rows of psi and R untiled rows of z.
     All implemented tau have full support on psi's domain, so support
     domination holds by construction.
 
@@ -110,7 +115,7 @@ class AuxiliaryInference:
     derived from it and ``log_prob``.
     """
 
-    log_prob: Callable            # (psi, z, x, tape) -> (rows,)
+    log_prob: Callable            # (psi, z, x, tape) -> one value per psi row
     sample: Callable = None       # (z, x, k, rng, tape) -> psi stacked k-major
     param_names: tuple = ()
     sample_and_score: Callable = None     # derived from sample + log_prob when None
@@ -130,8 +135,7 @@ class AuxiliaryInference:
 def _sample_then_score(sample, log_prob, z, x, k, first, rng, t):
     """sample_and_score of a tau without a conditioner: sample, then log_prob."""
     psis = with_first(first, sample(z, x, k, rng, t) if k > 0 else None, t)
-    n = k + (first is not None)
-    return psis, log_prob(psis, rep_rows(z, n, t), x, t)
+    return psis, log_prob(psis, z, x, t)
 
 
 def conditional_tau(params: Callable, family: Callable, param_names: tuple) -> AuxiliaryInference:
@@ -140,26 +144,16 @@ def conditional_tau(params: Callable, family: Callable, param_names: tuple) -> A
     ``params`` returns per-row parameter nodes of shape (rows, psi_dim);
     ``family`` maps them to a ``dists`` spec that ``dists.sample_reparam``
     can draw from.  Builds log_prob and the fused sample_and_score, which
-    runs ``params`` once on the rows of z.
+    runs ``params`` once on the R rows of z and draws k blocks from them.
     """
 
     def log_prob(psi, z, x, t):
         return dists.log_prob(family(*params(z, x, t)), psi, t)
 
-    def draw(p, k, rng, t):
-        return dists.sample_reparam(family(*(t.tile_rows(v, k) for v in p)), rng, t)
-
     def sample_and_score(z, x, k, first, rng, t):
-        p = params(z, x, t)
-        if first is None:
-            spec = family(*(t.tile_rows(v, k) for v in p))
-            psis = dists.sample_reparam(spec, rng, t)
-            return psis, dists.log_prob(spec, psis, t)
-        # The k + 1 block is tiled before the draws: the reverse order does the
-        # same work but moved snr unit times by 10-35% through allocator layout.
-        p_all = [t.tile_rows(v, k + 1) for v in p]
-        psis = cat_rows([first, draw(p, k, rng, t)], t) if k > 0 else first
-        return psis, dists.log_prob(family(*p_all), psis, t)
+        spec = family(*params(z, x, t))
+        psis = with_first(first, dists.sample_reparam(spec, rng, t, n=k) if k > 0 else None, t)
+        return psis, dists.log_prob(spec, psis, t)
 
     return AuxiliaryInference(log_prob=log_prob, param_names=param_names,
                               sample_and_score=sample_and_score, params=params, family=family)
@@ -194,21 +188,6 @@ def flat_generative() -> Generative:
 def n_rows(value, t: Tape) -> int:
     """Row count of a node, float array or int code array."""
     return np.shape(t.val(value) if isinstance(value, NodeId) else value)[0]
-
-
-def sample_blocks(rows: int, x_rows: int) -> int:
-    """Number n of k-major sample blocks when ``rows`` = n * ``x_rows``."""
-    if x_rows < 1 or rows % x_rows:
-        raise ValueError(f"{rows} sample rows are not a multiple of the {x_rows} rows of x")
-    return rows // x_rows
-
-
-def rep_rows(value, n: int, t: Tape):
-    """Tile rows k-major; works for nodes, float arrays and int code arrays."""
-    if isinstance(value, NodeId):
-        return t.tile_rows(value, n)
-    arr = np.asarray(value)
-    return np.tile(arr, (n,) + (1,) * (arr.ndim - 1))
 
 
 def cat_rows(parts, t: Tape):
@@ -315,7 +294,7 @@ def _affine(t: Tape, layer_input, p, w: str, b: str):
     if lead is None:
         return t.add(t.matmul(rest, p(w)), p(b))
     rows, x_rows = n_rows(rest, t), n_rows(lead, t)
-    n = sample_blocks(rows, x_rows)
+    n = dists.sample_blocks(rows, x_rows)
     weight = p(w)
     d, d_all = np.shape(t.val(lead))[1], np.shape(t.val(weight))[0]
     per_x = t.add(t.matmul(lead, t.slice_rows(weight, 0, d)), p(b))         # (B, H)
@@ -387,6 +366,15 @@ def _gather_const(t: Tape, log_table: np.ndarray, codes) -> NodeId:
     return t.const(log_table.reshape(-1)[np.asarray(codes, dtype=np.int64)])
 
 
+def _code_index(major, minor, minor_size: int) -> np.ndarray:
+    """Flat table index major * minor_size + minor over int code arrays, the
+    shorter array broadcast over the k-major blocks of the longer one."""
+    major, minor = (np.asarray(c, dtype=np.int64).reshape(-1) for c in (major, minor))
+    rows = min(major.size, minor.size)
+    dists.sample_blocks(max(major.size, minor.size), rows)
+    return (major.reshape(-1, rows) * minor_size + minor.reshape(-1, rows)).reshape(-1)
+
+
 def make_discrete_hvm(psi_probs, z_given_psi) -> HierarchicalModel:
     """Finite-support hierarchical model with exact marginals by summation."""
     psi_probs = np.asarray(psi_probs, dtype=np.float64)
@@ -410,8 +398,7 @@ def make_discrete_hvm(psi_probs, z_given_psi) -> HierarchicalModel:
         return _gather_const(t, log_psi, psi)
 
     def log_z_given_psi_fn(z, psi, x, t):
-        flat = np.asarray(psi, dtype=np.int64) * info.z_size + np.asarray(z, dtype=np.int64)
-        return _gather_const(t, log_cond, flat)
+        return _gather_const(t, log_cond, _code_index(psi, z, info.z_size))
 
     def exact_log_marginal(z, x=None):
         z = np.asarray(z, dtype=np.int64)
@@ -423,7 +410,6 @@ def make_discrete_hvm(psi_probs, z_given_psi) -> HierarchicalModel:
         return np.array([rng.categorical(info.posterior_psi(int(c))) for c in codes], dtype=np.int64)
 
     return HierarchicalModel(
-        psi_dim=1, z_dim=1,
         sample_psi=sample_psi, sample_z=sample_z,
         log_psi_prior=log_psi_prior, log_z_given_psi=log_z_given_psi_fn,
         exact_log_marginal=exact_log_marginal,
@@ -455,7 +441,7 @@ def make_discrete_tau(model: HierarchicalModel, probs=None, store: ParamStore | 
         return t.const(_safe_log(probs))
 
     def log_prob(psi, z, x, t):
-        flat_codes = np.asarray(z, dtype=np.int64) * info.psi_size + np.asarray(psi, dtype=np.int64)
+        flat_codes = _code_index(z, psi, info.psi_size)
         if store is None:
             return _gather_const(t, _safe_log(probs), flat_codes)
         table = _log_table(t)   # (z_size, psi_size) log softmax
@@ -530,8 +516,7 @@ def make_laplace_scale_mixture(dim: int) -> HierarchicalModel:
         z = np.asarray(z, dtype=np.float64)
         return (-np.log(2.0) - np.abs(z)).sum(axis=-1)
 
-    return HierarchicalModel(psi_dim=dim, z_dim=dim,
-                             sample_psi=sample_psi, sample_z=sample_z,
+    return HierarchicalModel(sample_psi=sample_psi, sample_z=sample_z,
                              log_psi_prior=log_psi_prior, log_z_given_psi=log_z,
                              exact_log_marginal=exact_log_marginal)
 
@@ -604,8 +589,7 @@ def make_snr_task(store: ParamStore | None = None, rng: RngStream | None = None)
         mean = 0.5 * (zv + theta)
         return t.const(mean + np.sqrt(0.5) * rng_.normal(mean.shape))
 
-    model = HierarchicalModel(psi_dim=SNR_DIM, z_dim=SNR_DIM,
-                              sample_psi=sample_psi, sample_z=sample_z,
+    model = HierarchicalModel(sample_psi=sample_psi, sample_z=sample_z,
                               log_psi_prior=log_psi_prior, log_z_given_psi=log_z,
                               exact_log_marginal=exact_log_marginal,
                               sample_psi_posterior=sample_psi_posterior)
@@ -632,9 +616,6 @@ class MiniVae:
     q: HierarchicalModel
     tau: AuxiliaryInference
     store: ParamStore
-    input_dim: int
-    z_dim: int
-    psi_dim: int
 
 
 def make_mini_vae(input_dim: int = 784, z_dim: int = 8, psi_dim: int = 8,
@@ -665,10 +646,7 @@ def make_mini_vae(input_dim: int = 784, z_dim: int = 8, psi_dim: int = 8,
 
     def log_lik(x, z, t):
         logits = dec.apply(t, z)["logits"]                     # (n*B, input_dim)
-        x = np.asarray(x, dtype=np.float64)
-        n = sample_blocks(n_rows(logits, t), x.shape[0])
-        blocks = t.reshape(logits, (n,) + x.shape)             # x broadcasts over n
-        return t.reshape(dists.log_prob(dists.bernoulli(logits=blocks), x, t), (-1,))
+        return dists.log_prob(dists.bernoulli(logits=logits), np.asarray(x, dtype=np.float64), t)
 
     gen = Generative(log_lik=log_lik,
                      prior=ExplicitPrior(log_prob=lambda z, t: dists.log_prob(std_norm, z, t)))
@@ -691,8 +669,7 @@ def make_mini_vae(input_dim: int = 784, z_dim: int = 8, psi_dim: int = 8,
         mean, std = enc_params(x, psi, t)
         return dists.log_prob(dists.normal(mean, std), z, t)
 
-    q = HierarchicalModel(psi_dim=psi_dim, z_dim=z_dim,
-                          sample_psi=sample_psi, sample_z=sample_z,
+    q = HierarchicalModel(sample_psi=sample_psi, sample_z=sample_z,
                           log_psi_prior=log_psi_prior, log_z_given_psi=log_z_given_psi)
 
     def tau_params(z, x, t):
@@ -700,8 +677,7 @@ def make_mini_vae(input_dim: int = 784, z_dim: int = 8, psi_dim: int = 8,
         return out["mean"], out["stddev"]
 
     tau = conditional_tau(tau_params, dists.normal, tau_net.param_names())
-    return MiniVae(gen=gen, q=q, tau=tau, store=store, input_dim=input_dim,
-                   z_dim=z_dim, psi_dim=psi_dim)
+    return MiniVae(gen=gen, q=q, tau=tau, store=store)
 
 
 # ---------------------------------------------------------------------------

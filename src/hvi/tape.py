@@ -188,12 +188,6 @@ def _register_ops():
     _op("reshape")((lambda v, aux: v[0].reshape(aux),
                     lambda g, v, out, aux: [g.reshape(v[0].shape)]))
 
-    def _tile_bwd(g, v, out, aux):
-        n = aux
-        return [g.reshape((n,) + v[0].shape).sum(axis=0)]
-
-    _op("tile_rows")((lambda v, aux: np.tile(v[0], (aux,) + (1,) * (v[0].ndim - 1)), _tile_bwd))
-
     def _slice_rows_bwd(g, v, out, aux):
         full = np.zeros(v[0].shape)
         full[aux[0]:aux[1]] = g
@@ -351,10 +345,6 @@ class Tape:
     def reshape(self, a, shape):
         return self.record("reshape", (self._lift(a),), aux=tuple(shape))
 
-    def tile_rows(self, a, n: int):
-        """Stack ``n`` copies of ``a`` along a new leading-row block."""
-        return self.record("tile_rows", (self._lift(a),), aux=int(n))
-
     def slice_rows(self, a, start: int, stop: int):
         """Rows ``start:stop`` of ``a``; a view, not a copy."""
         return self.record("slice_rows", (self._lift(a),), aux=(int(start), int(stop)))
@@ -362,22 +352,19 @@ class Tape:
     def stop_gradient(self, a):
         return self.record("stop_gradient", (self._lift(a),))
 
-    def gamma_sample(self, conc, rate, rng, implicit_grad, shape=None) -> NodeId:
+    def gamma_sample(self, conc, rate, rng, implicit_grad, shape) -> NodeId:
         """Draw Gamma(conc, rate) with cached implicit-reparameterization partials.
 
         ``implicit_grad(conc, rate, sample) -> (d/dconc, d/drate)`` supplies the
-        pathwise derivatives; sampling itself is forward-only numpy.
+        pathwise derivatives; sampling itself is forward-only numpy.  ``shape``
+        may lead with sample blocks; ``implicit_grad`` gets the parameters as given.
         """
         conc = self._lift(conc)
         rate = self._lift(rate)
         cv, rv = self.val(conc), self.val(rate)
-        if shape is None:
-            shape = np.broadcast_shapes(cv.shape, rv.shape)
-        sample = rng.gamma(np.broadcast_to(cv, shape), np.broadcast_to(rv, shape),
-                           shape=shape)
+        sample = rng.gamma(cv, rv, shape=shape)
         if self.requires_grad:
-            dca, dra = implicit_grad(np.broadcast_to(cv, sample.shape),
-                                     np.broadcast_to(rv, sample.shape), sample)
+            dca, dra = implicit_grad(cv, rv, sample)
         else:
             dca = dra = None
         return self.record("gamma_sample", (conc, rate), aux=(sample, dca, dra))

@@ -236,7 +236,7 @@ def test_criterion_05_gradient_correctness():
     for r in range(R):
         def build(t, rng):
             return diwhvi_elbo(gen, model, tau, None, x, BoundConfig(M=1, K=K), rng, t).node
-        ga = grad_autodiff(build, store, root.split(r), param_prefix="snr.")
+        ga = grad_autodiff(build, root.split(r), param_prefix="snr.")
         gd = grad_iwhvi_dreg(gen, model, tau, x, BoundConfig(M=1, K=K), store, root.split(r))
         diffs.append(np.concatenate([(ga.grads[n] - gd.grads[n]).ravel()
                                      for n in ("snr.A", "snr.b")]))

@@ -6,12 +6,12 @@ import math
 import numpy as np
 import pytest
 
-from hvi import dists, oracle
+from hvi import dists, oracle, special
 from hvi.bounds import (BoundConfig, diwhvi_elbo, eval_variants,
                         effective_sample_size, expected_kl_tau_prior, iwhvi_elbo,
                         jackknife_U, kl_lower_bound, kl_upper_bound, lower_bound_L,
                         omega_sample, sharot_coeff, sivi_elbo, sivi_reused,
-                        upper_bound_U)
+                        upper_bound_U, upper_bound_U_joint)
 from hvi.models import (AuxiliaryInference, ExplicitPrior, Generative,
                         HierarchicalModel, HierarchicalPrior, MlpCond, UnsupportedModelError,
                         make_discrete_hvm, make_gamma_mlp_tau, make_laplace_scale_mixture,
@@ -37,7 +37,6 @@ def true_log_px(lik, prior_probs):
 
 def gaussian_wrap(mean, std, dim=1):
     """Explicit Gaussian as a trivial hierarchy: psi is an independent dummy."""
-    target = dists.normal(mean, std)
     dummy = dists.normal(0.0, 1.0)
 
     def sample_psi(x, rows, rng, t):
@@ -50,12 +49,14 @@ def gaussian_wrap(mean, std, dim=1):
         return dists.log_prob(dummy, psi, t)
 
     def log_z(z, psi, x, t):
-        return dists.log_prob(target, z, t)
+        # One value per psi row: a mean that carries psi's rows (times 0)
+        # meets z's rows block-wise in dists.log_prob.
+        return dists.log_prob(dists.normal(t.add(mean, t.mul(0.0, psi)), std), z, t)
 
     def sample_psi_posterior(z, x, rng, t):
         return t.const(rng.normal((np.asarray(t.val(z)).shape[0], dim)))
 
-    return HierarchicalModel(psi_dim=dim, z_dim=dim, sample_psi=sample_psi,
+    return HierarchicalModel(sample_psi=sample_psi,
                              sample_z=sample_z, log_psi_prior=log_psi_prior,
                              log_z_given_psi=log_z,
                              sample_psi_posterior=sample_psi_posterior)
@@ -236,39 +237,69 @@ class TestHierarchicalElbos:
         assert exact <= true_log_px([0.3, 0.6], pz) + 1e-10
 
 
-def _tiled_x_nodes(t: Tape, x: np.ndarray) -> list:
-    """Tape nodes whose leading x_dim columns repeat x over n > 1 row blocks."""
-    B, D = x.shape
+def _tiled_nodes(t: Tape, x: np.ndarray) -> list:
+    """2-d tape nodes whose leading columns hold n > 1 stacked copies of the
+    rows of x or of another 2-d node.  Nodes whose rows are all equal (a
+    head's fallback row, the zeros it gives an identity head) are not
+    sources: repeating them is numpy's own broadcast of one row."""
+    values = [np.asarray(v) for v in t.values]
+    sources = [x] + [v for v in values
+                     if v.ndim == 2 and v.shape[0] > 1 and not np.all(v == v[:1])]
     bad = []
-    for i, v in enumerate(t.values):
-        v = np.asarray(v)
-        if v.ndim == 2 and v.shape[0] > B and v.shape[0] % B == 0 and v.shape[1] >= D:
-            if np.array_equal(v[:, :D], np.tile(x, (v.shape[0] // B, 1))):
+    for i, v in enumerate(values):
+        if v.ndim != 2:
+            continue
+        for u in sources:
+            R, D = u.shape
+            if (v.shape[0] > R and v.shape[0] % R == 0 and v.shape[1] >= D
+                    and np.array_equal(v[:, :D], np.tile(u, (v.shape[0] // R, 1)))):
                 bad.append((i, t._ops[i], v.shape))
+                break
     return bad
 
 
 class TestSampleLayout:
-    def test_no_estimator_tiles_x(self):
+    def test_no_estimator_tiles_x(self, monkeypatch):
         # The decoder's logits legitimately have n*B rows and x_dim columns;
-        # what must never appear is x itself (or a concat led by it) repeated
-        # over the sample blocks.
+        # what must never appear is x, z, psi or tau's parameter rows (or a
+        # concat led by them) repeated over the sample blocks.
+        from hvi.grads import grad_iwhvi_dreg
         from hvi.models import make_mini_vae
         vae = make_mini_vae(10, 3, 3, (6,), RngStream(1))
+        g = np.random.default_rng(4)
+        for name in vae.store.names():       # off the init: no two rows coincide
+            vae.store[name] = vae.store[name] + 0.3 * g.standard_normal(vae.store[name].shape)
         x = (np.random.default_rng(0).random((4, 10)) < 0.4).astype(float)
-        t = Tape()
-        diwhvi_elbo(vae.gen, vae.q, vae.tau, None, x, BoundConfig(M=3, K=4), RngStream(2), t)
-        assert len(t) > 0 and _tiled_x_nodes(t, x) == []
+        gen, q, tau = vae.gen, vae.q, vae.tau
+        cfg = BoundConfig(M=3, K=4)
+        runs = {
+            "diwhvi_elbo": lambda t: diwhvi_elbo(gen, q, tau, None, x, cfg, RngStream(2), t),
+            "lower_bound_L": lambda t: lower_bound_L(q, tau, sample_joint(q, x, RngStream(5), t)[1],
+                                                     x, 4, RngStream(2), t),
+            "sivi_reused": lambda t: sivi_reused(gen, q, x, 3, 4, RngStream(2), t),
+        }
         for variant in ("SIVI_LIKE", "SIVI_EQUICOMP", "SIVI_EQUISAMPLE", "DIWHVI_EVAL"):
+            runs[variant] = lambda t, v=variant: eval_variants(gen, q, tau, x, 3, 4, v,
+                                                               RngStream(3), t)
+        for name, run in runs.items():
             t = Tape()
-            eval_variants(vae.gen, vae.q, vae.tau, x, 3, 4, variant, RngStream(3), t)
-            assert _tiled_x_nodes(t, x) == [], variant
+            run(t)
+            assert len(t) > 0 and _tiled_nodes(t, x) == [], name
+
+        tapes, backward = [], Tape.backward
+        monkeypatch.setattr(Tape, "backward", lambda t, out: tapes.append(t) or backward(t, out))
+        grad_iwhvi_dreg(gen, q, tau, x, cfg, vae.store, RngStream(2))
+        assert len(tapes) == 1 and _tiled_nodes(tapes[0], x) == []
 
     def test_guard_flags_a_tiled_x(self):
         x = (np.random.default_rng(0).random((4, 10)) < 0.4).astype(float)
         t = Tape()
         t.concat([t.const(np.tile(x, (3, 1))), t.const(np.ones((12, 2)))], axis=1)
-        assert [op for _, op, _ in _tiled_x_nodes(t, x)] == ["const", "concat"]
+        assert [op for _, op, _ in _tiled_nodes(t, x)] == ["const", "concat"]
+        t = Tape()
+        z = t.leaf(np.random.default_rng(1).standard_normal((4, 3)))
+        t.concat([z, z])
+        assert [op for _, op, _ in _tiled_nodes(t, x)] == ["concat"]
 
 
 class TestEvalVariants:
@@ -539,6 +570,28 @@ class TestOneConditionerRun:
         }
         run[name]()
         assert rows == [R]
+
+
+class TestUntiledParameters:
+    def test_gamma_tau_special_functions_see_r_rows(self, monkeypatch):
+        # One U_K step and its backward: lgamma (forward) and digamma (lgamma's
+        # backward, the implicit gradient) run on tau's R x dim parameters,
+        # not on K or K + 1 repeated copies of them.
+        dim, R, K = 3, 4, 5
+        q = make_laplace_scale_mixture(dim)
+        tau = make_gamma_mlp_tau(dim, (8,), ParamStore(), RngStream(0))
+        sizes = {"lgamma": [], "digamma": []}
+        for name in sizes:
+            fn = getattr(special, name)
+
+            def counted(a, fn=fn, name=name):
+                sizes[name].append(np.size(a))
+                return fn(a)
+            monkeypatch.setattr(special, name, counted)
+        t = Tape()
+        est = upper_bound_U_joint(q, tau, np.zeros((R, 0)), K, RngStream(1), t)
+        t.backward(est.node)
+        assert sizes == {"lgamma": [R * dim], "digamma": [R * dim, R * dim]}
 
 
 class TestBoundConfig:

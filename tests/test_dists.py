@@ -89,6 +89,63 @@ def test_real_support_densities_normalize(dist):
     assert total == pytest.approx(0.0, abs=1e-6)
 
 
+BLOCK_FAMILIES = {
+    "normal": (dists.normal, 2),
+    "exponential": (dists.exponential, 1),
+    "gamma": (dists.gamma, 2),
+    "bernoulli": (lambda logits: dists.bernoulli(logits=logits), 1),
+}
+
+
+class TestSampleBlocks:
+    """n·R rows meet R rows block-wise in log_prob, in both directions; the
+    reference repeats the shorter side explicitly with t.concat([v] * n)."""
+
+    @pytest.mark.parametrize("kind", sorted(BLOCK_FAMILIES))
+    @pytest.mark.parametrize("taller", ["value", "params"])
+    def test_blocks_match_repeated_reference(self, kind, taller):
+        family, n_params = BLOCK_FAMILIES[kind]
+        R, D, n = 3, 2, 4
+        g = np.random.default_rng(5)
+        v_rows, p_rows = (n * R, R) if taller == "value" else (R, n * R)
+        params = [g.uniform(0.5, 2.0, (p_rows, D)) for _ in range(n_params)]
+        value = g.uniform(0.1, 3.0, (v_rows, D))
+        weights = g.standard_normal(n * R)
+
+        def run(repeat):
+            t = Tape()
+            ps, v = [t.leaf(p) for p in params], t.leaf(value)
+            used_ps, used_v = ps, v
+            if repeat and taller == "value":
+                used_ps = [t.concat([p] * n) for p in ps]
+            elif repeat:
+                used_v = t.concat([v] * n)
+            out = dists.log_prob(family(*used_ps), used_v, t)
+            grads = t.backward(t.sum(t.mul(out, weights)))
+            return t.val(out), [grads[leaf] for leaf in ps + [v]]
+
+        got, got_grads = run(repeat=False)
+        want, want_grads = run(repeat=True)
+        assert got.shape == (n * R,)
+        np.testing.assert_allclose(got, want, rtol=1e-12)
+        for a, b in zip(got_grads, want_grads):
+            np.testing.assert_allclose(a, b, rtol=1e-12)
+
+    @pytest.mark.parametrize("v_rows,p_rows", [(6, 4), (4, 6)])
+    def test_rows_not_a_multiple_raise(self, v_rows, p_rows):
+        t = Tape()
+        spec = dists.normal(t.leaf(np.zeros((p_rows, 2))), 1.0)
+        with pytest.raises(ValueError, match=r"\b6 sample rows are not a multiple of the 4 rows"):
+            dists.log_prob(spec, np.zeros((v_rows, 2)), t)
+
+    def test_sample_blocks_of_parameter_rows(self):
+        t = Tape(requires_grad=False)
+        mean = np.arange(6.0).reshape(3, 2)
+        draws = t.val(dists.sample_reparam(dists.normal(mean, 1e-9), RngStream(0), t, n=4))
+        assert draws.shape == (12, 2)
+        np.testing.assert_allclose(draws, np.tile(mean, (4, 1)), atol=1e-6)
+
+
 class TestSampling:
     def test_normal_location_scale_partials(self):
         t = Tape()
@@ -122,7 +179,7 @@ class TestSampling:
             (dists.gamma(2.0, 1.0), 2.0, 2.0),
         ]
         for dist, mean, var in cases:
-            s = t.val(dists.sample_reparam(dist, rng, t, shape=(n,)))
+            s = t.val(dists.sample_reparam(dist, rng, t, n=n))
             se_m = math.sqrt(var / n)
             assert abs(s.mean() - mean) < 4 * se_m
             kurt_bound = 12 * var / math.sqrt(n)   # loose 4-se scale for the variance
@@ -133,7 +190,7 @@ def pathwise_moment_grad(dist_builder, param0, f, n, seed):
     """d/dtheta E[f(sample)] by the tape, averaged over n draws."""
     t = Tape()
     p = t.leaf(param0)
-    s = dists.sample_reparam(dist_builder(t, p), RngStream(seed), t, shape=(n,))
+    s = dists.sample_reparam(dist_builder(t, p), RngStream(seed), t, n=n)
     obj = t.mean(f(t, s))
     g = t.backward(obj)[NodeId(p.index)]
     per = None

@@ -25,7 +25,7 @@ class TestGradAutodiff:
             mu = t.param(store, "mu")
             return dists.log_prob(dists.normal(mu, 1.0), sample, t)
 
-        g = grad_autodiff(build, store, RngStream(0)).grads["mu"]
+        g = grad_autodiff(build, RngStream(0)).grads["mu"]
 
         def f(mu):
             return float(dists.log_prob_value(dists.normal(float(mu), 1.0), sample))
@@ -41,7 +41,7 @@ class TestGradAutodiff:
             w = t.param(store, "w")
             return t.sum(t.mul(t.stop_gradient(w), 2.0))
 
-        g = grad_autodiff(build, store, RngStream(0)).grads["w"]
+        g = grad_autodiff(build, RngStream(0)).grads["w"]
         np.testing.assert_array_equal(g, np.zeros(3))
 
     def test_enumerated_expected_bound_grad_matches_fd(self):
@@ -97,8 +97,8 @@ def dreg_reference_surrogate_grads(gen, model, store, x, M, K, rng):
     ltau0 = dists.log_prob(dists.normal(mean(z, False), std), psi0, t)
     lw = [np.asarray(t.val(log_joint(model, z, psi0, x, t))) - np.asarray(t.val(ltau0))]
     if K > 0:
-        psis = dists.sample_reparam(dists.normal(t.tile_rows(mean(z, False), K), std), rng, t)
-        z_rep = t.tile_rows(z, K)
+        psis = dists.sample_reparam(dists.normal(t.concat([mean(z, False)] * K), std), rng, t)
+        z_rep = t.concat([z] * K)
         lw_tail = t.reshape(t.sub(log_joint(model, z_rep, psis, x, t),
                                   dists.log_prob(dists.normal(mean(z_rep, True), std), psis, t)),
                             (K, M * B))
@@ -177,7 +177,7 @@ class TestDreg:
             lt = tau.log_prob(psi0, z, x, t)
             return t.mean(lt)
 
-        want = grad_autodiff(build, store, RngStream(3), param_prefix="snr.")
+        want = grad_autodiff(build, RngStream(3), param_prefix="snr.")
         for n in ("snr.A", "snr.b"):
             np.testing.assert_allclose(got.grads[n], want.grads[n], atol=1e-12)
 
@@ -194,7 +194,7 @@ class TestDreg:
         for r in range(R):
             def build(t, rng):
                 return diwhvi_elbo(gen, model, tau, None, x, BoundConfig(M=M, K=K), rng, t).node
-            ga = grad_autodiff(build, store, root.split(r), param_prefix="snr.")
+            ga = grad_autodiff(build, root.split(r), param_prefix="snr.")
             gd = grad_iwhvi_dreg(gen, model, tau, x, BoundConfig(M=M, K=K), store, root.split(r))
             for n in diffs:
                 diffs[n].append(ga.grads[n] - gd.grads[n])
@@ -219,7 +219,7 @@ class TestDreg:
             return t.add(psi, t.const(rng.normal(np.shape(t.val(psi)))))
 
         model = HierarchicalModel(
-            psi_dim=1, z_dim=1, sample_psi=sample_psi, sample_z=sample_z,
+            sample_psi=sample_psi, sample_z=sample_z,
             log_psi_prior=lambda psi, x, t: D.log_prob(D.normal(theta, 1.0), psi, t),
             log_z_given_psi=lambda z, psi, x, t: D.log_prob(D.normal(psi, 1.0), z, t))
         store.add("snr.A", np.array([[0.45]]))
@@ -265,7 +265,7 @@ class TestDreg:
         for r in range(R):
             def build(t, rng):
                 return diwhvi_elbo(gen, model, tau, None, x, BoundConfig(M=1, K=2), rng, t).node
-            ga = grad_autodiff(build, store, root.split(r), param_prefix="snr.")
+            ga = grad_autodiff(build, root.split(r), param_prefix="snr.")
             gd = grad_iwhvi_dreg(gen, model, tau, x, BoundConfig(M=1, K=2), store,
                                  root.split(r), include_score_term=False)
             diffs.append(np.concatenate([(ga.grads[n] - gd.grads[n]).ravel()
@@ -367,7 +367,7 @@ class TestMeasureSnr:
                 def build(t, r):
                     return diwhvi_elbo(gen, model, tau, None, np.zeros((100, 0)),
                                        BoundConfig(M=1, K=K), r, t).node
-                return grad_autodiff(build, store, rng, param_prefix="snr.")
+                return grad_autodiff(build, rng, param_prefix="snr.")
             return fn
 
         lo = measure_snr(make_fn(1), 150, RngStream(41))

@@ -10,7 +10,7 @@ from hvi import dists, oracle
 from hvi.models import (HeadSpec, UnsupportedModelError, cat_rows, flat_generative,
                         init_mlp_cond, load_params, log_joint, make_discrete_hvm,
                         make_gamma_mlp_tau, make_laplace_scale_mixture, make_mini_vae,
-                        make_snr_task, posterior_tau, prior_tau, rep_rows, sample_joint,
+                        make_snr_task, posterior_tau, prior_tau, sample_joint,
                         save_params)
 from hvi.rng import RngStream
 from hvi.tape import ParamStore, Tape
@@ -43,6 +43,25 @@ class TestDiscreteHvm:
         lj = t.val(log_joint(m, z, psi, x, t))
         expect = np.log([0.4 * 0.7, 0.4 * 0.3, 0.6 * 0.1, 0.6 * 0.9])
         np.testing.assert_allclose(lj, expect, atol=1e-12)
+
+    def test_code_blocks_match_repeated_codes(self):
+        # R codes of z against n*R codes of psi (and the reverse, as the
+        # shared SIVI pool scores them) equal the explicitly repeated codes.
+        m = oracle.random_finite_model(RngStream(6))
+        tau = oracle.random_discrete_tau(RngStream(7), m)
+        g = np.random.default_rng(8)
+        z, zz = g.integers(0, m.finite.z_size, 3), g.integers(0, m.finite.z_size, 12)
+        psi, pp = g.integers(0, m.finite.psi_size, 12), g.integers(0, m.finite.psi_size, 3)
+        t = Tape(requires_grad=False)
+        for got, want in ((m.log_z_given_psi(z, psi, None, t),
+                           m.log_z_given_psi(np.tile(z, 4), psi, None, t)),
+                          (m.log_z_given_psi(zz, pp, None, t),
+                           m.log_z_given_psi(zz, np.tile(pp, 4), None, t)),
+                          (tau.log_prob(psi, z, None, t),
+                           tau.log_prob(psi, np.tile(z, 4), None, t))):
+            np.testing.assert_array_equal(t.val(got), t.val(want))
+        with pytest.raises(ValueError, match=r"\b6 sample rows are not a multiple of the 4 rows"):
+            m.log_z_given_psi(zz[:4], psi[:6], None, t)
 
     def test_exact_marginal_agrees_with_enumeration_oracle(self):
         rng = RngStream(42)
@@ -178,7 +197,7 @@ class TestSnrTask:
 
         def grad_norm():
             t = Tape()
-            est, _ = upper_bound_U_joint(model, tau, np.zeros((50000, 0)), 0, RngStream(4), t)
+            est = upper_bound_U_joint(model, tau, np.zeros((50000, 0)), 0, RngStream(4), t)
             g = t.param_grads(t.backward(est.node))
             return np.linalg.norm(np.concatenate([g["snr.A"].ravel(), g["snr.b"]]))
 
@@ -266,20 +285,20 @@ TAU_CASES = {"gamma": _gamma_case, "snr": _snr_case, "vae": _vae_case}
 def assert_sample_and_score_matches_separate_paths(tau, z, x, psi0, k=2):
     """sample_and_score with first = psi0 and first = None against k draws,
     then log_prob on [first; draws] with z and x repeated row-aligned.  A
-    conditional tau's draws come from its family on tiled parameter rows,
-    any other tau's from its sample."""
+    conditional tau's draws come from its family on explicitly repeated
+    parameter rows, any other tau's from its sample."""
     for first in (psi0, None):
         n = k + (first is not None)
         ta = Tape(requires_grad=False)
         psis, lt = tau.sample_and_score(z, x, k, first, RngStream(9), ta)
         tb = Tape(requires_grad=False)
         if tau.family is not None:
-            spec = tau.family(*(tb.tile_rows(v, k) for v in tau.params(z, x, tb)))
+            spec = tau.family(*(tb.concat([v] * k) for v in tau.params(z, x, tb)))
             draws = dists.sample_reparam(spec, RngStream(9), tb)
         else:
             draws = tau.sample(z, x, k, RngStream(9), tb)
         psis_b = draws if first is None else cat_rows([first, draws], tb)
-        lt_b = tau.log_prob(psis_b, rep_rows(z, n, tb), np.tile(x, (n, 1)), tb)
+        lt_b = tau.log_prob(psis_b, np.tile(z, (n, 1)), np.tile(x, (n, 1)), tb)
         np.testing.assert_allclose(ta.val(psis), tb.val(psis_b), atol=1e-12)
         np.testing.assert_allclose(ta.val(lt), tb.val(lt_b), atol=1e-12)
 
@@ -298,7 +317,10 @@ class TestConditionalTau:
 class TestMiniVae:
     def test_desk_scale_construction(self):
         vae = make_mini_vae(784, 8, 8, (64, 64), RngStream(0))
-        assert vae.input_dim == 784 and vae.z_dim == 8 and vae.psi_dim == 8
+        shapes = {name: vae.store[name].shape for name in vae.store.names()}
+        assert shapes["dec.w0"] == (8, 64) and shapes["dec.w_logits"] == (64, 784)
+        assert shapes["enc.w0"] == (784 + 8, 64) and shapes["enc.w_mean"] == (64 + 8, 8)
+        assert shapes["tau.w0"] == (784 + 8, 64) and shapes["tau.w_mean"] == (64, 8)
 
     def test_encoder_psi_independent_at_init(self):
         vae = make_mini_vae(32, 4, 4, (16, 16), RngStream(1))
