@@ -74,11 +74,12 @@ def _reduce_last(t: Tape, node, value):
     return t.reshape(node, (-1,)) if np.ndim(t.val(node)) > 1 else node
 
 
-def sample_blocks(rows: int, x_rows: int) -> int:
-    """Number n of k-major sample blocks when ``rows`` = n * ``x_rows``."""
-    if x_rows < 1 or rows % x_rows:
-        raise ValueError(f"{rows} sample rows are not a multiple of the {x_rows} rows of x")
-    return rows // x_rows
+def sample_blocks(rows: int, short_rows: int, short: str) -> int:
+    """Number n of k-major sample blocks when ``rows`` = n * ``short_rows``;
+    ``short`` names what those rows are rows of, for the error."""
+    if short_rows < 1 or rows % short_rows:
+        raise ValueError(f"{rows} sample rows are not a multiple of the {short_rows} rows of {short}")
+    return rows // short_rows
 
 
 def _rows(v, t: Tape) -> int:
@@ -86,10 +87,11 @@ def _rows(v, t: Tape) -> int:
     return shape[0] if len(shape) == 2 else 0
 
 
-def _as_blocks(v, rows: int, t: Tape):
-    """A (n·rows, d) node or array viewed as (n, rows, d) sample blocks."""
+def _as_blocks(v, rows: int, short: str, t: Tape):
+    """A (n·rows, d) node or array viewed as (n, rows, d) sample blocks that
+    meet the ``rows`` rows of ``short``."""
     shape = np.shape(t.val(v))
-    blocks = (sample_blocks(shape[0], rows), rows, shape[1])
+    blocks = (sample_blocks(shape[0], rows, short), rows, shape[1])
     return t.reshape(v, blocks) if isinstance(v, NodeId) else np.reshape(v, blocks)
 
 
@@ -98,9 +100,10 @@ def log_prob(dist, value, t: Tape) -> NodeId:
     p = dist.params
     v_rows, p_rows = _rows(value, t), max(_rows(v, t) for v in p.values())
     if v_rows > p_rows > 0:
-        value = _as_blocks(value, p_rows, t)
+        value = _as_blocks(value, p_rows, "the density's parameters", t)
     elif p_rows > v_rows > 0:
-        p = {k: _as_blocks(v, v_rows, t) if _rows(v, t) == p_rows else v for k, v in p.items()}
+        p = {k: _as_blocks(v, v_rows, "the density's value", t) if _rows(v, t) == p_rows else v
+             for k, v in p.items()}
     if dist.kind == "normal":
         z = t.div(t.sub(value, p["mean"]), p["stddev"])
         lp = t.sub(t.mul(-0.5, t.square(z)), t.add(t.log(p["stddev"]), 0.5 * _LOG_2PI))

@@ -40,7 +40,7 @@ def grad_autodiff(build, rng: RngStream, param_prefix: str = "") -> GradEstimate
 
 def grad_iwhvi_dreg(gen: Generative, q: HierarchicalModel, tau: AuxiliaryInference,
                     x: np.ndarray, config: BoundConfig, store: ParamStore,
-                    rng: RngStream, include_score_term: bool = True) -> GradEstimate:
+                    rng: RngStream) -> GradEstimate:
     """Doubly reparameterized gradient of the hierarchical ELBO w.r.t. tau.
 
     Builds a surrogate whose autodiff gradient equals the estimator: frozen
@@ -93,12 +93,9 @@ def grad_iwhvi_dreg(gen: Generative, q: HierarchicalModel, tau: AuxiliaryInferen
     if K > 0:
         coef = (sga * (sga - 2.0))[None, :] * sgb[1:] ** 2 * scale
         total = t.sum(t.mul(t.const(coef), lw_tail))
-    if include_score_term:
-        coef0 = sga * sgb[0] * scale
-        term0 = t.sum(t.mul(t.const(coef0), ltau0_live))
-        total = term0 if total is None else t.add(total, term0)
-    if total is None:
-        return GradEstimate(grads={n: np.zeros_like(store[n]) for n in tau.param_names})
+    coef0 = sga * sgb[0] * scale
+    term0 = t.sum(t.mul(t.const(coef0), ltau0_live))
+    total = term0 if total is None else t.add(total, term0)
     gmap = t.backward(total)
     grads = t.param_grads(gmap)
     out = {}

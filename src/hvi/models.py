@@ -294,7 +294,7 @@ def _affine(t: Tape, layer_input, p, w: str, b: str):
     if lead is None:
         return t.add(t.matmul(rest, p(w)), p(b))
     rows, x_rows = n_rows(rest, t), n_rows(lead, t)
-    n = dists.sample_blocks(rows, x_rows)
+    n = dists.sample_blocks(rows, x_rows, "x")
     weight = p(w)
     d, d_all = np.shape(t.val(lead))[1], np.shape(t.val(weight))[0]
     per_x = t.add(t.matmul(lead, t.slice_rows(weight, 0, d)), p(b))         # (B, H)
@@ -371,7 +371,7 @@ def _code_index(major, minor, minor_size: int) -> np.ndarray:
     shorter array broadcast over the k-major blocks of the longer one."""
     major, minor = (np.asarray(c, dtype=np.int64).reshape(-1) for c in (major, minor))
     rows = min(major.size, minor.size)
-    dists.sample_blocks(max(major.size, minor.size), rows)
+    dists.sample_blocks(max(major.size, minor.size), rows, "the shorter code array")
     return (major.reshape(-1, rows) * minor_size + minor.reshape(-1, rows)).reshape(-1)
 
 

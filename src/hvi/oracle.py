@@ -1,55 +1,89 @@
 """Independent ground truth: exact enumeration, quadrature, closed forms.
 
 Everything the test suite compares estimators against lives here.  The
-enumeration routines compute exact expectations by summing over all sample
-tuples of a finite model, in log space, entirely separately from the Monte
-Carlo estimators they check.
+enumeration routines compute exact expectations on a finite model, in log
+space, entirely separately from the Monte Carlo estimators they check.  Every
+bound is symmetric in its i.i.d. draws, so they sum over the count vectors
+of the draws with multinomial weights, which keeps K = 64 within
+``COUNT_BUDGET``.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
 from . import special
 from .models import (AuxiliaryInference, ExplicitPrior, Generative, HierarchicalModel,
-                     UnsupportedModelError, make_discrete_hvm, make_discrete_tau)
+                     UnsupportedModelError, log_joint, make_discrete_hvm, make_discrete_tau)
 from .rng import RngStream
 from .tape import Tape
 
-TUPLE_BUDGET = 10 ** 6
+COUNT_BUDGET = 10 ** 6
 
 
-def _tuples(size: int, repeat: int) -> np.ndarray:
-    if repeat == 0:
-        return np.zeros((1, 0), dtype=np.int64)
-    return np.array(list(itertools.product(range(size), repeat=repeat)), dtype=np.int64)
+def _count_vectors(n: int, s: int):
+    """Every count vector of n i.i.d. draws over s outcomes, as the rows of
+    an (m, s) int array, m = C(n + s - 1, n), with its log multinomial
+    coefficient log(n! / prod_i c_i!)."""
+    m = math.comb(n + s - 1, n)
+    if m > COUNT_BUDGET:
+        raise ValueError(f"enumeration budget exceeded: needs {m} count vectors")
+    draws = np.array(list(itertools.combinations_with_replacement(range(s), n)),
+                     dtype=np.int64).reshape(m, n)
+    counts = np.bincount((draws + s * np.arange(m)[:, None]).reshape(-1),
+                         minlength=m * s).reshape(m, s)
+    log_fact = np.concatenate([[0.0], np.cumsum(np.log(np.arange(1.0, n + 1)))])
+    return counts, log_fact[n] - log_fact[counts].sum(axis=1)
 
 
-def _logmeanexp(a, axis=None):
-    a = np.asarray(a, dtype=np.float64)
-    m = np.max(a, axis=axis, keepdims=True)
-    m = np.where(np.isfinite(m), m, 0.0)
+def _count_draws(t: Tape, log_p, log_w, n: int, first=None):
+    """(log P, value) of every count vector of n i.i.d. draws.
+
+    Outcome i is drawn with log probability ``log_p[i]`` (finite) and has log
+    weight ``log_w[i]``; a vector's value is the log mean weight of its draws.
+    ``first``, probabilities over the same outcomes, adds one slot drawn apart
+    from the n and averaged with them (psi_0 of the upper bounds).
+    """
+    counts, log_coef = _count_vectors(n, np.shape(t.val(log_p))[0])
+    log_prob = t.add(t.matvec(counts.astype(np.float64), log_p), log_coef)
+    if first is not None:
+        slots = np.flatnonzero(first > 0)
+        counts = (counts[None] + np.eye(len(first), dtype=np.int64)[slots, None]).reshape(
+            -1, len(first))
+        log_prob = t.reshape(t.add(np.log(first[slots])[:, None],
+                                   t.reshape(log_prob, (1, -1))), (-1,))
     with np.errstate(divide="ignore"):
-        out = np.log(np.mean(np.exp(a - m), axis=axis))
-    return np.squeeze(m, axis=axis) + out if axis is not None else float(m.reshape(()) + out)
+        log_counts = np.log(counts)
+    value = t.sub(t.logsumexp(t.add(log_counts, log_w), axis=1), float(np.log(counts[0].sum())))
+    return log_prob, value
 
 
-def _tau_log_table(model: HierarchicalModel, tau: AuxiliaryInference, t: Tape | None):
-    """log tau(psi=i | z=j) as an (z_size, psi_size) tape node."""
+def _tau_row(model: HierarchicalModel, tau: AuxiliaryInference, z: int) -> np.ndarray:
+    """log tau(psi = i | z) for every psi code i, off the tape."""
+    s = model.finite.psi_size
+    t = Tape(requires_grad=False)
+    return np.asarray(t.val(tau.log_prob(np.arange(s), np.full(s, z), np.zeros((s, 0)), t)))
+
+
+def _weights(model: HierarchicalModel, tau: AuxiliaryInference, z: int, t: Tape):
+    """(codes, log tau, log q(psi, z) - log tau) over the psi codes tau can
+    draw at z, recorded on ``t``.  tau must cover q(psi | z), where every
+    psi_0 slot is drawn."""
     info = model.finite
-    zz, pp = np.meshgrid(np.arange(info.z_size), np.arange(info.psi_size), indexing="ij")
-    x = np.zeros((info.z_size * info.psi_size, 0))
-    if t is None:
-        t = Tape(requires_grad=False)
-    flat = tau.log_prob(pp.reshape(-1), zz.reshape(-1), x, t)
-    return t.reshape(flat, (info.z_size, info.psi_size)), t
+    codes = np.flatnonzero(np.isfinite(_tau_row(model, tau, z)))
+    if np.any(np.delete(info.psi_probs * info.z_given_psi[:, z], codes) > 0):
+        raise ValueError(f"tau(psi | z={z}) does not cover q(psi | z)")
+    zs, x = np.full(codes.size, z), np.zeros((codes.size, 0))
+    lt = tau.log_prob(codes, zs, x, t)
+    return codes, lt, t.sub(log_joint(model, zs, codes, x, t), lt)
 
 
 def exact_expected_bound(model: HierarchicalModel, tau: AuxiliaryInference, z: int, K: int,
                          kind="U", t: Tape | None = None):
-    """Exact E[bound] over all sample tuples of a finite model.
+    """Exact E[bound] over all count vectors of the i.i.d. tau draws.
 
     ``kind`` is "U", "L", or ("J", J) for the order-J jackknife combination
     (whose expectation is the Sharot combination of E[U_{K-j}], since the
@@ -61,59 +95,26 @@ def exact_expected_bound(model: HierarchicalModel, tau: AuxiliaryInference, z: i
     if info is None:
         raise UnsupportedModelError("exact_expected_bound requires a finite model")
     caller_tape = t
+    if t is None:
+        t = Tape(requires_grad=False)
+    z = int(z)
     if isinstance(kind, tuple) and kind[0] == "J":
         J = kind[1]
         if J > K:
             raise ValueError("jackknife order J must satisfy J <= K")
         from .bounds import sharot_coeff
-        if t is None:
-            t = Tape(requires_grad=False)
-        total = None
+        out = None
         for j in range(J + 1):
             term = t.mul(sharot_coeff(K, J, j),
                          exact_expected_bound(model, tau, z, K - j, "U", t=t))
-            total = term if total is None else t.add(total, term)
-        return total if caller_tape is not None else float(t.val(total))
-
-    s = info.psi_size
-    n_draws = K + 1 if kind == "U" else K
-    if kind == "L" and K < 1:
-        raise ValueError("lower bound requires K >= 1")
-    if s ** max(n_draws, 1) > TUPLE_BUDGET:
-        raise ValueError(f"enumeration budget exceeded: needs {s ** n_draws} tuples")
-
-    if t is None:
-        t = Tape(requires_grad=False)
-    z = int(z)
-    x1 = np.zeros((s, 0))
-    # Per-support-point tables, tape-recorded so gradients flow where needed.
-    lj = t.add(model.log_psi_prior(np.arange(s), x1, t),
-               model.log_z_given_psi(np.full(s, z), np.arange(s), x1, t))   # log q(z, psi=i)
-    lt_tab, _ = _tau_log_table(model, tau, t)
-    lt = t.reshape(lt_tab, (info.z_size * s,))
-    pick = np.zeros((s, info.z_size * s))
-    pick[np.arange(s), z * s + np.arange(s)] = 1.0
-    lt = t.matvec(pick, lt)                                                  # log tau(psi=i | z)
-    lw = t.sub(lj, lt)                                                       # per-point log weight
-    log_post = np.log(info.posterior_psi(z))
-
-    tuples = np.array(list(itertools.product(range(s), repeat=n_draws)), dtype=np.int64)
-    onehot_cols = [np.eye(s)[tuples[:, k]] for k in range(n_draws)]
-    lw_cols = [t.matvec(np.asarray(oh), lw) for oh in onehot_cols]
-    lw_mat = t.concat([t.reshape(c, (len(tuples), 1)) for c in lw_cols], axis=1)
-    value = t.sub(t.logsumexp(lw_mat, axis=1), float(np.log(n_draws)))
-
-    if kind == "U":
-        # psi_0 comes from the exact posterior; the rest from tau.
-        logp = t.matvec(np.asarray(onehot_cols[0]), t.const(log_post))
-        for k in range(1, n_draws):
-            logp = t.add(logp, t.matvec(np.asarray(onehot_cols[k]), lt))
+            out = term if out is None else t.add(out, term)
     else:
-        logp = None
-        for k in range(n_draws):
-            term = t.matvec(np.asarray(onehot_cols[k]), lt)
-            logp = term if logp is None else t.add(logp, term)
-    out = t.sum(t.mul(t.exp(logp), value))
+        if kind == "L" and K < 1:
+            raise ValueError("lower bound requires K >= 1")
+        codes, lt, lw = _weights(model, tau, z, t)
+        first = info.posterior_psi(z)[codes] if kind == "U" else None
+        log_prob, value = _count_draws(t, lt, lw, K, first)
+        out = t.sum(t.mul(t.exp(log_prob), value))
     return out if caller_tape is not None else float(t.val(out))
 
 
@@ -121,97 +122,45 @@ def exact_log_marginal_finite(model: HierarchicalModel, z: int) -> float:
     return float(model.exact_log_marginal(np.array([z]))[0])
 
 
-# ---------------------------------------------------------------------------
-# Exact expectations of the ELBO estimators (discrete everything)
-# ---------------------------------------------------------------------------
-
-def _prior_tables(gen: Generative, rho, L: int):
-    """Per-z arrays of (log prob of zeta block, prior log-ratio term)."""
-    prior = gen.prior
-    if isinstance(prior, ExplicitPrior):
-        return None
-    info = prior.model.finite
-    if info is None:
-        raise UnsupportedModelError("enumeration needs a finite hierarchical prior")
-    t = Tape(requires_grad=False)
-    sz = info.psi_size
-    out = []
-    rho_tab, _ = _tau_log_table(prior.model, rho, None)
-    rho_tab = np.asarray(t.val(rho_tab))
-    for zc in range(info.z_size):
-        lj = np.log(np.maximum([info.joint(i, zc) for i in range(sz)], 1e-300))
-        lr = rho_tab[zc]
-        tuples = _tuples(sz, L)
-        logp = lr[tuples].sum(axis=1)
-        vals = _logmeanexp((lj - lr)[tuples], axis=1)
-        out.append((logp, vals))
-    return out
-
-
 def exact_expected_elbo(gen: Generative, q: HierarchicalModel, tau: AuxiliaryInference,
                         rho, M: int, K: int, L: int, x=None) -> float:
-    """Exact E[multi-sample hierarchical ELBO] on a discrete-everything instance."""
+    """Exact E[multi-sample hierarchical ELBO] on a discrete-everything instance.
+
+    One replica's outcome is z with psi_0, the counts of psi_{1:K} and, for a
+    hierarchical prior, the counts of zeta_{1:L}; the M replicas are i.i.d.
+    draws over those outcomes.
+    """
     info = q.finite
     if info is None:
         raise UnsupportedModelError("enumeration requires a finite inference model")
+    explicit = isinstance(gen.prior, ExplicitPrior)
+    if not explicit and gen.prior.model.finite is None:
+        raise UnsupportedModelError("enumeration needs a finite hierarchical prior")
     t = Tape(requires_grad=False)
-    s, tz = info.psi_size, info.z_size
     x0 = np.zeros((1, 0)) if x is None else np.asarray(x).reshape(1, -1)
-
-    lt_tab, _ = _tau_log_table(q, tau, None)
-    lt_tab = np.asarray(Tape(requires_grad=False).val(lt_tab))
-    lik = np.array([np.asarray(t.val(gen.log_lik(x0, np.array([zc]), t))).reshape(-1)[0]
-                    for zc in range(tz)])
-    prior_blocks = _prior_tables(gen, rho, L)
-    if prior_blocks is None:
-        pt = Tape(requires_grad=False)
-        prior_vals = np.array([np.asarray(pt.val(gen.prior.log_prob(np.array([zc]), pt))).reshape(-1)[0]
-                               for zc in range(tz)])
-
-    # Enumerate single-replica outcomes: (psi0, z, psi_{1:K} tuple, zeta block).
-    block_logp, block_val = [], []
-    psi_tuples = _tuples(s, K)
-    for psi0 in range(s):
-        for zc in range(tz):
-            base_lp = np.log(max(info.joint(psi0, zc), 1e-300))
-            lw0 = np.log(max(info.joint(psi0, zc), 1e-300)) - lt_tab[zc, psi0]
-            lt_z = lt_tab[zc]
-            lj_z = np.log(np.maximum([info.joint(i, zc) for i in range(s)], 1e-300))
-            for pt_idx in range(len(psi_tuples)):
-                ks = psi_tuples[pt_idx]
-                lp = base_lp + lt_z[ks].sum()
-                den = _logmeanexp(np.concatenate([[lw0], (lj_z - lt_z)[ks]]))
-                if prior_blocks is None:
-                    block_logp.append(lp)
-                    block_val.append(lik[zc] + prior_vals[zc] - den)
-                else:
-                    zlogp, zvals = prior_blocks[zc]
-                    for lpz, vz in zip(zlogp, zvals):
-                        block_logp.append(lp + lpz)
-                        block_val.append(lik[zc] + vz - den)
-    block_logp = np.asarray(block_logp)
-    block_val = np.asarray(block_val)
-
-    if len(block_logp) ** M > TUPLE_BUDGET:
-        raise ValueError(f"enumeration budget exceeded: needs {len(block_logp) ** M} tuples")
-    idx = np.array(list(itertools.product(range(len(block_logp)), repeat=M)), dtype=np.int64)
-    logp = block_logp[idx].sum(axis=1)
-    vals = _logmeanexp(block_val[idx], axis=1)
-    return float(np.sum(np.exp(logp) * vals))
+    log_probs, values = [], []
+    for z in range(info.z_size):
+        if info.marginal(z) == 0.0:
+            continue
+        zc = np.array([z])
+        codes, lt, lw = _weights(q, tau, z, t)
+        joint = (info.psi_probs * info.z_given_psi[:, z])[codes]
+        lp, den = (t.val(v) for v in _count_draws(t, lt, lw, K, joint))
+        if explicit:
+            lpz, prior = np.zeros(1), t.val(gen.prior.log_prob(zc, t)).reshape(1)
+        else:
+            _, lr, lwp = _weights(gen.prior.model, rho, z, t)
+            lpz, prior = (t.val(v) for v in _count_draws(t, lr, lwp, L))
+        lik = t.val(gen.log_lik(x0, zc, t)).reshape(-1)[0]
+        log_probs.append((lp[:, None] + lpz[None, :]).reshape(-1))
+        values.append((lik - den[:, None] + prior[None, :]).reshape(-1))
+    log_prob, value = _count_draws(t, np.concatenate(log_probs), np.concatenate(values), M)
+    return float(np.sum(np.exp(t.val(log_prob)) * t.val(value)))
 
 
 # ---------------------------------------------------------------------------
 # Exact expectations of the KL bounds, and the true discrete KL
 # ---------------------------------------------------------------------------
-
-def _finite_pair_tables(q: HierarchicalModel, p: HierarchicalModel, tau, rho):
-    iq, ip = q.finite, p.finite
-    if iq is None or ip is None or iq.z_size != ip.z_size:
-        raise UnsupportedModelError("KL enumeration requires finite q and p over the same z support")
-    lt = np.asarray(Tape(requires_grad=False).val(_tau_log_table(q, tau, None)[0]))
-    lr = np.asarray(Tape(requires_grad=False).val(_tau_log_table(p, rho, None)[0]))
-    return iq, ip, lt, lr
-
 
 def true_kl_finite(q: HierarchicalModel, p: HierarchicalModel) -> float:
     iq, ip = q.finite, p.finite
@@ -221,57 +170,23 @@ def true_kl_finite(q: HierarchicalModel, p: HierarchicalModel) -> float:
     return float(np.sum(qm[mask] * (np.log(qm[mask]) - np.log(pm[mask]))))
 
 
+def _expected_kl(q, p, tau, rho, num: tuple, den: tuple) -> float:
+    """E_q(z)[E num - E den]: given z, num's K draws (tau on q) and den's L
+    draws (rho on p) are independent, so the difference splits."""
+    iq, ip = q.finite, p.finite
+    if iq is None or ip is None or iq.z_size != ip.z_size:
+        raise UnsupportedModelError("KL enumeration requires finite q and p over the same z support")
+    return sum(iq.marginal(z) * (exact_expected_bound(q, tau, z, *num)
+                                 - exact_expected_bound(p, rho, z, *den))
+               for z in range(iq.z_size) if iq.marginal(z) > 0.0)
+
+
 def exact_expected_kl_upper(q, p, tau, rho, K: int, L: int) -> float:
-    iq, ip, lt, lr = _finite_pair_tables(q, p, tau, rho)
-    s, sz, tz = iq.psi_size, ip.psi_size, iq.z_size
-    total = 0.0
-    psi_tuples = _tuples(s, K)
-    zeta_tuples = _tuples(sz, L)
-    for zc in range(tz):
-        ljq = np.log(np.maximum([iq.joint(i, zc) for i in range(s)], 1e-300))
-        ljp = np.log(np.maximum([ip.joint(i, zc) for i in range(sz)], 1e-300))
-        for psi0 in range(s):
-            base_p = iq.joint(psi0, zc)
-            if base_p == 0.0:
-                continue
-            lw0 = ljq[psi0] - lt[zc, psi0]
-            for ks in psi_tuples:
-                pk = np.exp(lt[zc][ks].sum())
-                num = _logmeanexp(np.concatenate([[lw0], (ljq - lt[zc])[ks]]))
-                for ls in zeta_tuples:
-                    pl = np.exp(lr[zc][ls].sum())
-                    den = _logmeanexp((ljp - lr[zc])[ls])
-                    total += base_p * pk * pl * (num - den)
-    return total
+    return _expected_kl(q, p, tau, rho, (K, "U"), (L, "L"))
 
 
 def exact_expected_kl_lower(q, p, tau, rho, K: int, L: int) -> float:
-    if K < 1:
-        raise ValueError("KL lower bound requires K >= 1")
-    iq, ip, lt, lr = _finite_pair_tables(q, p, tau, rho)
-    s, sz, tz = iq.psi_size, ip.psi_size, iq.z_size
-    total = 0.0
-    psi_tuples = _tuples(s, K)
-    zeta_tuples = _tuples(sz, L)
-    for zc in range(tz):
-        qz = iq.marginal(zc)
-        if qz == 0.0:
-            continue
-        ljq = np.log(np.maximum([iq.joint(i, zc) for i in range(s)], 1e-300))
-        ljp = np.log(np.maximum([ip.joint(i, zc) for i in range(sz)], 1e-300))
-        post_p = ip.posterior_psi(zc)
-        for ks in psi_tuples:
-            pk = np.exp(lt[zc][ks].sum())
-            num = _logmeanexp((ljq - lt[zc])[ks])
-            for z0 in range(sz):
-                if post_p[z0] == 0.0:
-                    continue
-                lw0 = ljp[z0] - lr[zc, z0]
-                for ls in zeta_tuples:
-                    pl = np.exp(lr[zc][ls].sum())
-                    den = _logmeanexp(np.concatenate([[lw0], (ljp - lr[zc])[ls]]))
-                    total += qz * post_p[z0] * pk * pl * (num - den)
-    return total
+    return _expected_kl(q, p, tau, rho, (K, "L"), (L, "U"))
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +197,7 @@ def omega_closed_form(model: HierarchicalModel, tau: AuxiliaryInference, z: int,
                       psis: tuple) -> float:
     """Closed-form marginal of the weighted-resampling process at one tuple."""
     info = model.finite
-    lt = np.asarray(Tape(requires_grad=False).val(_tau_log_table(model, tau, None)[0]))[z]
+    lt = _tau_row(model, tau, z)
     post = info.posterior_psi(z)
     ratios = [post[i] / np.exp(lt[i]) for i in psis]
     num = post[psis[0]] * np.exp(sum(lt[i] for i in psis[1:]))
@@ -298,7 +213,7 @@ def enumerate_omega_marginal(model: HierarchicalModel, tau: AuxiliaryInference, 
     """
     info = model.finite
     s = info.psi_size
-    lt = np.asarray(Tape(requires_grad=False).val(_tau_log_table(model, tau, None)[0]))[z]
+    lt = _tau_row(model, tau, z)
     w = np.array([info.joint(i, z) for i in range(s)]) / np.exp(lt)
     out: dict[tuple, float] = {}
     for hat in itertools.product(range(s), repeat=K + 1):

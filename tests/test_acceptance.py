@@ -188,10 +188,10 @@ def test_criterion_03_omega_marginal():
 # 4. Toy Laplace: trained tau beats SIVI, halving the gap
 # -------------------------------------------------------------------------
 
-def test_criterion_04_toy_laplace():
+def test_criterion_04_toy_laplace(tmp_path):
     t0 = time.monotonic()
     cfg = load_config(None, overrides={"experiment": "toy-laplace", "seed": "1",
-                                       "out": "/tmp/acc_toy.csv"},
+                                       "out": str(tmp_path / "acc_toy.csv")},
                       defaults=EXPERIMENT_DEFAULTS["toy-laplace"])
     writer = run_toy_laplace(cfg)
     truth = -50 * (1 + math.log(2))

@@ -133,9 +133,11 @@ class TestSampleBlocks:
 
     @pytest.mark.parametrize("v_rows,p_rows", [(6, 4), (4, 6)])
     def test_rows_not_a_multiple_raise(self, v_rows, p_rows):
+        short = "parameters" if v_rows > p_rows else "value"
         t = Tape()
         spec = dists.normal(t.leaf(np.zeros((p_rows, 2))), 1.0)
-        with pytest.raises(ValueError, match=r"\b6 sample rows are not a multiple of the 4 rows"):
+        with pytest.raises(ValueError, match=r"\b6 sample rows are not a multiple of the 4 rows"
+                                             rf" of the density's {short}$"):
             dists.log_prob(spec, np.zeros((v_rows, 2)), t)
 
     def test_sample_blocks_of_parameter_rows(self):

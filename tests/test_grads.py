@@ -46,27 +46,35 @@ class TestGradAutodiff:
 
     def test_enumerated_expected_bound_grad_matches_fd(self):
         # Exact E[U_K] recorded on the tape as a function of tau's logits; its
-        # autodiff gradient must match central differences of the enumeration.
-        model = make_discrete_hvm([0.4, 0.6], [[0.7, 0.3], [0.1, 0.9]])
-        store = ParamStore()
-        store.add("tau.logits", np.array([[0.3, -0.2], [0.1, 0.4]]))
-        tau = make_discrete_tau(model, store=store, name="tau.logits")
-        K, z = 2, 1
+        # autodiff gradient must match central differences of the enumeration,
+        # also at the SNR study's K = 64 over four psi values, where the
+        # gradient entries are only about 1e-3.
+        cases = [
+            (make_discrete_hvm([0.4, 0.6], [[0.7, 0.3], [0.1, 0.9]]),
+             [[0.3, -0.2], [0.1, 0.4]], 2, 1, 1e-4),
+            (make_discrete_hvm([0.1, 0.2, 0.3, 0.4], [[0.7, 0.3], [0.1, 0.9], [0.5, 0.5], [0.2, 0.8]]),
+             [[0.3, -0.2, 0.5, 0.0], [0.1, 0.4, -0.3, 0.2]], 64, 0, 1e-7),
+        ]
+        for model, logits, K, z, atol in cases:
+            store = ParamStore()
+            store.add("tau.logits", np.array(logits))
+            tau = make_discrete_tau(model, store=store, name="tau.logits")
+            shape = store["tau.logits"].shape
 
-        t = Tape()
-        node = oracle.exact_expected_bound(model, tau, z, K, "U", t=t)
-        grads = t.param_grads(t.backward(node))["tau.logits"]
+            t = Tape()
+            node = oracle.exact_expected_bound(model, tau, z, K, "U", t=t)
+            grads = t.param_grads(t.backward(node))["tau.logits"]
 
-        def f(flat):
-            keep = store["tau.logits"].copy()
-            store["tau.logits"] = flat.reshape(2, 2)
-            try:
-                return oracle.exact_expected_bound(model, tau, z, K, "U")
-            finally:
-                store["tau.logits"] = keep
+            def f(flat):
+                keep = store["tau.logits"].copy()
+                store["tau.logits"] = flat.reshape(shape)
+                try:
+                    return oracle.exact_expected_bound(model, tau, z, K, "U")
+                finally:
+                    store["tau.logits"] = keep
 
-        fd = oracle.finite_diff(f, store["tau.logits"].reshape(-1), step=1e-5).reshape(2, 2)
-        np.testing.assert_allclose(grads, fd, atol=1e-4)
+            fd = oracle.finite_diff(f, store["tau.logits"].reshape(-1), step=1e-5).reshape(shape)
+            np.testing.assert_allclose(grads, fd, atol=atol)
 
 
 def snr_setup(at_optimum=False, seed=0):
@@ -78,11 +86,12 @@ def snr_setup(at_optimum=False, seed=0):
     return model, tau, store
 
 
-def dreg_reference_surrogate_grads(gen, model, store, x, M, K, rng):
+def dreg_reference_surrogate_grads(gen, model, store, x, M, K, rng, score_term=True):
     """tau's DReG gradient on the SNR task from a surrogate that stops A and b
     with ``stop_gradient`` inside the tail density, evaluated on z tiled K
     times: frozen replica weights alpha and term weights beta times the psi_0
-    log density (live) and the K per-draw log ratios (pathwise only)."""
+    log density (live) and the K per-draw log ratios (pathwise only).
+    ``score_term=False`` leaves out the psi_0 term."""
     B = x.shape[0]
     std = math.sqrt(SNR_TAU_VAR)
     t = Tape()
@@ -108,7 +117,7 @@ def dreg_reference_surrogate_grads(gen, model, store, x, M, K, rng):
     r = (lik - special.logsumexp(lw, axis=0) + np.log(K + 1)).reshape(M, B)
     alpha = special.softmax(r, axis=0).reshape(M * B)
     beta = special.softmax(lw, axis=0)
-    total = t.sum(t.mul(t.const(alpha * beta[0] / B), ltau0))
+    total = t.sum(t.mul(t.const(alpha * beta[0] / B if score_term else 0.0), ltau0))
     if K > 0:
         coef = (alpha * (alpha - 2.0))[None, :] * beta[1:] ** 2 / B
         total = t.add(total, t.sum(t.mul(t.const(coef), lw_tail)))
@@ -266,9 +275,9 @@ class TestDreg:
             def build(t, rng):
                 return diwhvi_elbo(gen, model, tau, None, x, BoundConfig(M=1, K=2), rng, t).node
             ga = grad_autodiff(build, root.split(r), param_prefix="snr.")
-            gd = grad_iwhvi_dreg(gen, model, tau, x, BoundConfig(M=1, K=2), store,
-                                 root.split(r), include_score_term=False)
-            diffs.append(np.concatenate([(ga.grads[n] - gd.grads[n]).ravel()
+            gd = dreg_reference_surrogate_grads(gen, model, store, x, 1, 2, root.split(r),
+                                                score_term=False)
+            diffs.append(np.concatenate([(ga.grads[n] - gd[n]).ravel()
                                          for n in ("snr.A", "snr.b")]))
         arr = np.stack(diffs)
         z = np.abs(arr.mean(axis=0)) / (arr.std(axis=0, ddof=1) / math.sqrt(R) + 1e-12)

@@ -60,7 +60,8 @@ class TestDiscreteHvm:
                           (tau.log_prob(psi, z, None, t),
                            tau.log_prob(psi, np.tile(z, 4), None, t))):
             np.testing.assert_array_equal(t.val(got), t.val(want))
-        with pytest.raises(ValueError, match=r"\b6 sample rows are not a multiple of the 4 rows"):
+        with pytest.raises(ValueError, match=r"\b6 sample rows are not a multiple of the 4 rows"
+                                             r" of the shorter code array"):
             m.log_z_given_psi(zz[:4], psi[:6], None, t)
 
     def test_exact_marginal_agrees_with_enumeration_oracle(self):
@@ -409,10 +410,11 @@ class TestSampleLayout:
         vae, x, psi, z = self._case()
         t = Tape(requires_grad=False)
         psi6, z6 = t.const(psi[:6]), t.const(z[:6])
-        for call in (lambda: vae.q.log_z_given_psi(z6, psi6, x, t),
-                     lambda: vae.tau.log_prob(psi6, z6, x, t),
-                     lambda: vae.gen.log_lik(x, z6, t)):
-            with pytest.raises(ValueError, match=r"\b6 sample rows .* 4 rows of x"):
+        # The conditioners meet x itself; the likelihood meets x as its value.
+        for call, rows in ((lambda: vae.q.log_z_given_psi(z6, psi6, x, t), "x"),
+                           (lambda: vae.tau.log_prob(psi6, z6, x, t), "x"),
+                           (lambda: vae.gen.log_lik(x, z6, t), "the density's value")):
+            with pytest.raises(ValueError, match=rf"\b6 sample rows .* 4 rows of {rows}$"):
                 call()
 
 

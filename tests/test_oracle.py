@@ -1,13 +1,17 @@
 """Oracle machinery itself: enumeration, quadrature, finite differences."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
-from scipy import integrate, stats
+from scipy import integrate, special, stats
 
 from hvi import dists, oracle
-from hvi.models import UnsupportedModelError, make_discrete_hvm, make_laplace_scale_mixture, posterior_tau, prior_tau
+from hvi.bounds import sharot_coeff
+from hvi.models import (ExplicitPrior, Generative, HierarchicalPrior, UnsupportedModelError,
+                        make_discrete_hvm, make_discrete_tau, make_laplace_scale_mixture,
+                        posterior_tau, prior_tau)
 from hvi.oracle import QuadratureError
 from hvi.rng import RngStream
 from hvi.tape import Tape
@@ -31,10 +35,11 @@ class TestExactExpectedBound:
         assert oracle.exact_expected_bound(TWO_POINT, tau, 1, 3, ("J", 1)) == pytest.approx(logq, abs=1e-12)
 
     def test_budget_guard(self):
+        # C(203, 3) = 1,373,701 count vectors of 200 draws over 4 outcomes.
         m = make_discrete_hvm([0.25] * 4, [[0.5, 0.5]] * 4)
         tau = prior_tau(m)
         with pytest.raises(ValueError, match="budget"):
-            oracle.exact_expected_bound(m, tau, 0, 11, "U")
+            oracle.exact_expected_bound(m, tau, 0, 200, "U")
 
     def test_requires_finite_model(self):
         m = make_laplace_scale_mixture(1)
@@ -55,6 +60,169 @@ class TestExactExpectedBound:
                 if prev is not None:
                     assert e <= prev + 1e-10
                 prev = e
+
+
+# ---------------------------------------------------------------------------
+# Brute-force references: every ordered tuple of draws (itertools.product)
+# ---------------------------------------------------------------------------
+
+def _lme(a):
+    return float(special.logsumexp(a) - math.log(len(a)))
+
+
+def _tables(model, tau, z):
+    """(log tau(psi | z), log q(psi, z), q(psi | z)) over every psi code."""
+    info = model.finite
+    s = info.psi_size
+    t = Tape(requires_grad=False)
+    lt = np.asarray(t.val(tau.log_prob(np.arange(s), np.full(s, z), np.zeros((s, 0)), t)))
+    joint = info.psi_probs * info.z_given_psi[:, z]
+    with np.errstate(divide="ignore"):
+        return lt, np.log(joint), joint / joint.sum()
+
+
+def _mean_term(lt, lj, draws, first):
+    """(probability, log mean weight) of ordered draws, psi_0 = first appended."""
+    slots = list(draws) + ([] if first is None else [first])
+    p = math.exp(lt[list(draws)].sum())
+    return p, (_lme(lj[slots] - lt[slots]) if p > 0 else 0.0)
+
+
+def _first_slots(post):
+    """(psi_0, q(psi_0 | z)) over the posterior's support."""
+    return [(j, post[j]) for j in range(len(post)) if post[j] > 0]
+
+
+def ref_bound(model, tau, z, K, kind):
+    if isinstance(kind, tuple):
+        return sum(sharot_coeff(K, kind[1], j) * ref_bound(model, tau, z, K - j, "U")
+                   for j in range(kind[1] + 1))
+    lt, lj, post = _tables(model, tau, z)
+    total = 0.0
+    for draws in itertools.product(range(len(lt)), repeat=K):
+        for j, pj in _first_slots(post) if kind == "U" else [(None, 1.0)]:
+            p, v = _mean_term(lt, lj, draws, j)
+            total += pj * p * v
+    return total
+
+
+def ref_kl(q, p, tau, rho, K, L, upper):
+    total = 0.0
+    for z in range(q.finite.z_size):
+        ltq, ljq, postq = _tables(q, tau, z)
+        ltp, ljp, postp = _tables(p, rho, z)
+        for ks in itertools.product(range(len(ltq)), repeat=K):
+            for ls in itertools.product(range(len(ltp)), repeat=L):
+                for j, pj in _first_slots(postq if upper else postp):
+                    pk, num = _mean_term(ltq, ljq, ks, j if upper else None)
+                    pl, den = _mean_term(ltp, ljp, ls, None if upper else j)
+                    total += q.finite.marginal(z) * pj * pk * pl * (num - den)
+    return total
+
+
+def ref_elbo(gen, q, tau, rho, M, K, L):
+    t = Tape(requires_grad=False)
+    probs, vals = [], []
+    for z in range(q.finite.z_size):
+        lt, lj, post = _tables(q, tau, z)
+        lik = float(np.asarray(t.val(gen.log_lik(np.zeros((1, 0)), np.array([z]), t)))[0])
+        if isinstance(gen.prior, ExplicitPrior):
+            priors = [(1.0, float(np.asarray(t.val(gen.prior.log_prob(np.array([z]), t)))[0]))]
+        else:
+            lr, ljp, _ = _tables(gen.prior.model, rho, z)
+            priors = [_mean_term(lr, ljp, ls, None)
+                      for ls in itertools.product(range(len(lr)), repeat=L)]
+        for j, pj in _first_slots(post):
+            for ks in itertools.product(range(len(lt)), repeat=K):
+                pk, den = _mean_term(lt, lj, ks, j)
+                for pl, prior in priors:
+                    probs.append(q.finite.marginal(z) * pj * pk * pl)
+                    vals.append(lik + prior - den)
+    probs, vals = np.array(probs), np.array(vals)
+    idx = np.array(list(itertools.product(range(len(probs)), repeat=M)))
+    return float(np.sum(np.prod(probs[idx], axis=1) * (special.logsumexp(vals[idx], axis=1)
+                                                       - math.log(M))))
+
+
+# q(psi=2) = 0 and q(z=0 | psi=1) = 0; tau misses psi=1 at z=0, where q(psi, z)
+# is 0, and draws psi=2, whose weight is 0.
+ZERO_MODEL = make_discrete_hvm([0.5, 0.5, 0.0], [[0.8, 0.2], [0.0, 1.0], [0.5, 0.5]])
+ZERO_TAU = make_discrete_tau(ZERO_MODEL, probs=[[0.6, 0.0, 0.4], [0.3, 0.3, 0.4]])
+
+
+def _small_cases():
+    rng = RngStream(2024)
+    cases = [(ZERO_MODEL, ZERO_TAU), (ZERO_MODEL, posterior_tau(ZERO_MODEL))]
+    for _ in range(4):
+        m = oracle.random_finite_model(rng, psi_size=2 + int(rng.uniform() * 2), z_size=2)
+        cases.append((m, oracle.random_discrete_tau(rng, m)))
+    return cases
+
+
+class TestCountVectors:
+    @pytest.mark.parametrize("n,s", [(0, 3), (1, 1), (5, 3), (64, 4)])
+    def test_every_count_vector_once_with_multinomial_weight(self, n, s):
+        counts, log_coef = oracle._count_vectors(n, s)
+        assert counts.shape == (math.comb(n + s - 1, n), s)
+        assert np.all(counts.sum(axis=1) == n)
+        assert len({tuple(c) for c in counts}) == len(counts)
+        # sum over vectors of n!/prod c_i! = s^n
+        assert special.logsumexp(log_coef) == pytest.approx(n * math.log(s), rel=1e-12, abs=1e-12)
+
+    def test_bound_matches_tuple_reference(self):
+        for m, tau in _small_cases():
+            for K in range(4):
+                kinds = ["U"] + (["L", ("J", 1)] if K >= 1 else [])
+                for kind in kinds:
+                    got = oracle.exact_expected_bound(m, tau, 0, K, kind)
+                    want = ref_bound(m, tau, 0, K, kind)
+                    # L is -inf where all K draws can have weight 0 (ZERO_TAU)
+                    assert np.isfinite(got) or kind == "L"
+                    assert got == pytest.approx(want, rel=1e-12, abs=1e-14), (kind, K)
+
+    def test_kl_matches_tuple_reference(self):
+        cases = _small_cases()[1:]      # ZERO_TAU's zero weights would make the KL infinite
+        for (q, tau), (p, rho) in zip(cases, cases[1:] + cases[:1]):
+            for K, L in ((1, 1), (2, 1), (1, 3), (3, 2)):
+                for upper in (True, False):
+                    fn = oracle.exact_expected_kl_upper if upper else oracle.exact_expected_kl_lower
+                    got = fn(q, p, tau, rho, K, L)
+                    want = ref_kl(q, p, tau, rho, K, L, upper)
+                    assert got == pytest.approx(want, rel=1e-12, abs=1e-14), (K, L, upper)
+
+    def test_elbo_matches_tuple_reference(self):
+        lik = lambda x, z, t: t.const(np.log([0.3, 0.6])[np.asarray(z, dtype=np.int64)])
+        explicit = Generative(log_lik=lik, prior=ExplicitPrior(
+            log_prob=lambda z, t: t.const(np.log([0.45, 0.55])[np.asarray(z, dtype=np.int64)])))
+        p_model = make_discrete_hvm([0.6, 0.4], [[0.5, 0.5], [0.2, 0.8]])
+        hier = Generative(log_lik=lik, prior=HierarchicalPrior(model=p_model))
+        rho = oracle.random_discrete_tau(RngStream(3), p_model)
+        for q, tau in _small_cases()[:4]:
+            for gen, M, K, L in ((explicit, 1, 2, 1), (explicit, 3, 1, 1), (explicit, 2, 0, 1),
+                                 (hier, 1, 1, 2), (hier, 2, 1, 1)):
+                got = oracle.exact_expected_elbo(gen, q, tau, rho, M, K, L)
+                want = ref_elbo(gen, q, tau, rho, M, K, L)
+                assert got == pytest.approx(want, rel=1e-12, abs=1e-14), (M, K, L)
+
+    def test_tau_must_cover_the_posterior(self):
+        tau = make_discrete_tau(ZERO_MODEL, probs=[[0.0, 0.6, 0.4], [0.3, 0.3, 0.4]])
+        with pytest.raises(ValueError, match="does not cover"):
+            oracle.exact_expected_bound(ZERO_MODEL, tau, 0, 2, "U")
+
+    def test_sandwich_monotonicity_and_jackknife_to_k64(self):
+        rng = RngStream(64)
+        for _ in range(4):
+            m = oracle.random_finite_model(rng, psi_size=4)
+            tau = oracle.random_discrete_tau(rng, m)
+            logq = oracle.exact_log_marginal_finite(m, 0)
+            Ks = (0, 1, 2, 4, 8, 16, 32, 64)
+            us = [oracle.exact_expected_bound(m, tau, 0, K, "U") for K in Ks]
+            ls = [oracle.exact_expected_bound(m, tau, 0, K, "L") for K in Ks[1:]]
+            assert all(u >= logq - 1e-10 for u in us) and all(v <= logq + 1e-10 for v in ls)
+            assert all(b <= a + 1e-12 for a, b in zip(us, us[1:]))
+            assert all(b >= a - 1e-12 for a, b in zip(ls, ls[1:]))
+            ej = oracle.exact_expected_bound(m, tau, 0, 64, ("J", 1))
+            assert abs(ej - logq) < abs(us[-1] - logq)
 
 
 class TestQuadrature:
