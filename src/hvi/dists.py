@@ -20,8 +20,6 @@ from . import special
 from .rng import RngStream
 from .tape import NodeId, Tape
 
-_LOG_2PI = float(np.log(2.0 * np.pi))
-
 CONTINUOUS_KINDS = ("normal", "exponential", "gamma")
 DISCRETE_KINDS = ("bernoulli",)
 
@@ -64,11 +62,15 @@ def bernoulli(logits) -> DistributionSpec:
     return DistributionSpec("bernoulli", {"logits": logits})
 
 
+def _per_dim(value) -> bool:
+    return np.ndim(value) >= 2
+
+
 def _reduce_last(t: Tape, node, value):
     # (rows, dim) inputs are per-dimension products: sum the trailing axis;
     # (n, R, dim) blocks flatten to n·R values.  Scalars and 1-d vectors are
     # independent evaluations, left elementwise.
-    if np.asarray(value).ndim < 2:
+    if not _per_dim(value):
         return node
     node = t.sum(node, axis=-1)
     return t.reshape(node, (-1,)) if np.ndim(t.val(node)) > 1 else node
@@ -96,7 +98,14 @@ def _as_blocks(v, rows: int, short: str, t: Tape):
 
 
 def log_prob(dist, value, t: Tape) -> NodeId:
-    """Natural-log density, recorded on the tape (differentiable end to end)."""
+    """Natural-log density, recorded on the tape (differentiable end to end).
+
+    The Normal density is one ``normal_log_prob`` node with the trailing-axis
+    sum folded in: its forward runs the textbook chain -0.5 ((x - mu) / sd)^2
+    - (log sd + log(2 pi) / 2) in one buffer, and its backward forms only the
+    adjoints that value, mean and stddev need, bit for bit as that chain
+    would.  The other families are chains of elementwise nodes.
+    """
     p = dist.params
     v_rows, p_rows = _rows(value, t), max(_rows(v, t) for v in p.values())
     if v_rows > p_rows > 0:
@@ -105,9 +114,8 @@ def log_prob(dist, value, t: Tape) -> NodeId:
         p = {k: _as_blocks(v, v_rows, "the density's value", t) if _rows(v, t) == p_rows else v
              for k, v in p.items()}
     if dist.kind == "normal":
-        z = t.div(t.sub(value, p["mean"]), p["stddev"])
-        lp = t.sub(t.mul(-0.5, t.square(z)), t.add(t.log(p["stddev"]), 0.5 * _LOG_2PI))
-    elif dist.kind == "exponential":
+        return t.normal_log_prob(value, p["mean"], p["stddev"], reduce=_per_dim(t.val(value)))
+    if dist.kind == "exponential":
         _check_support("exponential", value, t, lower=0.0)
         lp = t.sub(t.log(p["rate"]), t.mul(p["rate"], value))
     elif dist.kind == "gamma":

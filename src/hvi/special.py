@@ -79,15 +79,32 @@ def digamma(x):
 
 
 def softplus(x):
-    """log(1 + exp(x)), overflow-safe: max(x, 0) + log1p(exp(-|x|))."""
+    """log(1 + exp(x)), overflow-safe: max(x, 0) + log1p(exp(-|x|)).
+
+    The log1p term is formed in the output buffer; max(x, 0) is the one
+    scratch array (a masked add of x measured slower than that pass).
+    """
     x = _as_f64(x)
-    return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
+    out = np.abs(x, out=np.empty_like(x))
+    np.negative(out, out=out)
+    np.exp(out, out=out)
+    np.log1p(out, out=out)
+    return np.add(np.maximum(x, 0.0), out, out=out)
 
 
 def sigmoid(x):
+    """1 / (1 + t) for x >= 0 and t / (1 + t) below, with t = exp(-|x|).
+
+    The numerator is formed in the output buffer; 1 + t is the one scratch
+    array.
+    """
     x = _as_f64(x)
-    t = np.exp(-np.abs(x))
-    return np.where(x >= 0.0, 1.0 / (1.0 + t), t / (1.0 + t))
+    out = np.abs(x, out=np.empty_like(x))
+    np.negative(out, out=out)
+    np.exp(out, out=out)
+    den = out + 1.0
+    np.copyto(out, 1.0, where=x >= 0.0)
+    return np.divide(out, den, out=out)
 
 
 def inv_softplus(y):

@@ -5,6 +5,18 @@ replays it in reverse, accumulating adjoints by summation over fan-out.
 Node ids are topologically ordered by construction: every input id of node i
 is < i.  ``backward`` leaves the tape unchanged, so it can run more than once.
 
+Each node carries a ``needs`` bit, set at record time: ``leaf`` sets it,
+``const`` and ``stop_gradient`` clear it, and every other opcode takes the OR
+of its inputs' bits.  ``backward`` forms adjoints only for nodes with the bit
+(each backward function gets its inputs' mask and skips the sides without
+it), drops every intermediate adjoint once its node has been processed, and
+returns the leaves' adjoints alone (activity analysis; Griewank & Walther,
+*Evaluating Derivatives*, 2nd ed., SIAM 2008).
+
+The Normal log density is one opcode, ``normal_log_prob``, rather than the
+chain of elementwise nodes it replaces; its forward and backward repeat that
+chain's arithmetic in its order, so values and adjoints keep their bits.
+
 Trainable parameters live outside the tape in a :class:`ParamStore` and are
 bound as leaf nodes per pass via :meth:`Tape.param`.
 
@@ -94,7 +106,9 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 
 # opcode -> forward(values, aux) ; registered below
 _FORWARD = {}
-# opcode -> backward(grad, values, out_value, aux) -> list of input adjoints
+# opcode -> backward(grad, values, out_value, aux, need) -> list of input
+# adjoints, where need[i] says whether input i wants one; an entry for an
+# input without the bit is never read, so expensive sides skip it (None).
 _BACKWARD = {}
 
 
@@ -113,16 +127,66 @@ def _check_positive(op, x):
         raise DomainError(op, float(bad.flat[0]))
 
 
+def _normal_lp_fwd(v, aux):
+    # log N(x | mu, sd) = -0.5 ((x - mu) / sd)^2 - (log sd + log(2 pi) / 2),
+    # step by step in one buffer; with ``aux``, summed over the trailing axis
+    # and (n, R) blocks flattened to n*R values.
+    sd, _, x, mu = v
+    if not np.all(sd > 0.0):
+        if np.any(sd == 0.0):
+            raise DomainError("div", 0.0)
+        _check_positive("log", sd)
+    buf = np.subtract(x, mu, out=np.empty(np.broadcast_shapes(x.shape, mu.shape, sd.shape)))
+    np.divide(buf, sd, out=buf)
+    np.multiply(buf, buf, out=buf)
+    np.multiply(buf, -0.5, out=buf)
+    np.subtract(buf, np.log(sd) + special._HALF_LOG_2PI, out=buf)
+    if not aux:
+        return buf
+    out = np.sum(buf, axis=-1)
+    return out.reshape(-1) if out.ndim > 1 else out
+
+
+def _normal_lp_bwd(g, v, out, aux, need):
+    # The unfused chain's reverse pass, operation for operation, so adjoints
+    # keep its bits: sd gets its log term, then its quotient term.
+    sd, _, x, mu = v
+    shape = np.broadcast_shapes(x.shape, mu.shape, sd.shape)
+    if aux:
+        g = np.expand_dims(g.reshape(shape[:-1]), -1)
+    s = x - mu
+    z = np.divide(s, sd, out=np.empty(shape))
+    gz = np.multiply(g, -0.5, out=np.empty(shape))
+    np.multiply(gz, z, out=gz)
+    np.add(gz, gz, out=gz)                    # z*z: one adjoint per factor
+    d_log = d_quot = d_x = d_mu = None
+    if need[0]:
+        d_log = _unbroadcast(np.negative(g, out=z), sd.shape) / sd
+        np.negative(gz, out=z)
+        np.multiply(z, s, out=z)
+        d_quot = _unbroadcast(np.divide(z, sd * sd, out=z), sd.shape)
+    if need[2] or need[3]:
+        gs = _unbroadcast(np.divide(gz, sd, out=gz), s.shape)
+        d_x = _unbroadcast(gs, x.shape) if need[2] else None
+        d_mu = _unbroadcast(-gs, mu.shape) if need[3] else None
+    return [d_log, d_quot, d_x, d_mu]
+
+
 def _register_ops():
-    _op("const")((lambda v, aux: aux, lambda g, v, out, aux: []))
-    _op("leaf")((lambda v, aux: aux, lambda g, v, out, aux: []))
+    _op("const")((lambda v, aux: aux, None))
+    _op("leaf")((lambda v, aux: aux, None))
     _op("add")((lambda v, aux: v[0] + v[1],
-                lambda g, v, out, aux: [_unbroadcast(g, v[0].shape), _unbroadcast(g, v[1].shape)]))
+                lambda g, v, out, aux, need: [
+                    _unbroadcast(g, v[0].shape) if need[0] else None,
+                    _unbroadcast(g, v[1].shape) if need[1] else None]))
     _op("sub")((lambda v, aux: v[0] - v[1],
-                lambda g, v, out, aux: [_unbroadcast(g, v[0].shape), _unbroadcast(-g, v[1].shape)]))
+                lambda g, v, out, aux, need: [
+                    _unbroadcast(g, v[0].shape) if need[0] else None,
+                    _unbroadcast(-g, v[1].shape) if need[1] else None]))
     _op("mul")((lambda v, aux: v[0] * v[1],
-                lambda g, v, out, aux: [_unbroadcast(g * v[1], v[0].shape),
-                                        _unbroadcast(g * v[0], v[1].shape)]))
+                lambda g, v, out, aux, need: [
+                    _unbroadcast(g * v[1], v[0].shape) if need[0] else None,
+                    _unbroadcast(g * v[0], v[1].shape) if need[1] else None]))
 
     def _div_fwd(v, aux):
         if np.any(v[1] == 0.0):
@@ -130,35 +194,36 @@ def _register_ops():
         return v[0] / v[1]
 
     _op("div")((_div_fwd,
-                lambda g, v, out, aux: [_unbroadcast(g / v[1], v[0].shape),
-                                        _unbroadcast(-g * v[0] / (v[1] * v[1]), v[1].shape)]))
-    _op("neg")((lambda v, aux: -v[0], lambda g, v, out, aux: [-g]))
+                lambda g, v, out, aux, need: [
+                    _unbroadcast(g / v[1], v[0].shape) if need[0] else None,
+                    _unbroadcast(-g * v[0] / (v[1] * v[1]), v[1].shape) if need[1] else None]))
+    _op("neg")((lambda v, aux: -v[0], lambda g, v, out, aux, need: [-g]))
 
     def _log_fwd(v, aux):
         _check_positive("log", v[0])
         return np.log(v[0])
 
-    _op("log")((_log_fwd, lambda g, v, out, aux: [g / v[0]]))
-    _op("exp")((lambda v, aux: np.exp(v[0]), lambda g, v, out, aux: [g * out]))
+    _op("log")((_log_fwd, lambda g, v, out, aux, need: [g / v[0]]))
+    _op("exp")((lambda v, aux: np.exp(v[0]), lambda g, v, out, aux, need: [g * out]))
 
     def _sqrt_fwd(v, aux):
         _check_positive("sqrt", v[0])
         return np.sqrt(v[0])
 
-    _op("sqrt")((_sqrt_fwd, lambda g, v, out, aux: [0.5 * g / out]))
-    _op("abs")((lambda v, aux: np.abs(v[0]), lambda g, v, out, aux: [g * np.sign(v[0])]))
+    _op("sqrt")((_sqrt_fwd, lambda g, v, out, aux, need: [0.5 * g / out]))
+    _op("abs")((lambda v, aux: np.abs(v[0]), lambda g, v, out, aux, need: [g * np.sign(v[0])]))
     _op("softplus")((lambda v, aux: special.softplus(v[0]),
-                     lambda g, v, out, aux: [g * special.sigmoid(v[0])]))
+                     lambda g, v, out, aux, need: [g * special.sigmoid(v[0])]))
     _op("sigmoid")((lambda v, aux: special.sigmoid(v[0]),
-                    lambda g, v, out, aux: [g * out * (1.0 - out)]))
+                    lambda g, v, out, aux, need: [g * out * (1.0 - out)]))
 
     def _lgamma_fwd(v, aux):
         _check_positive("lgamma", v[0])
         return special.lgamma(v[0])
 
-    _op("lgamma")((_lgamma_fwd, lambda g, v, out, aux: [g * special.digamma(v[0])]))
+    _op("lgamma")((_lgamma_fwd, lambda g, v, out, aux, need: [g * special.digamma(v[0])]))
 
-    def _sum_bwd(g, v, out, aux):
+    def _sum_bwd(g, v, out, aux, need):
         axis = aux
         if axis is None:
             return [np.broadcast_to(g, v[0].shape).copy()]
@@ -166,7 +231,7 @@ def _register_ops():
 
     _op("sum")((lambda v, aux: np.sum(v[0], axis=aux), _sum_bwd))
 
-    def _lse_bwd(g, v, out, aux):
+    def _lse_bwd(g, v, out, aux, need):
         sm = special.softmax(v[0], aux)
         if aux is None:
             return [g * sm]
@@ -174,11 +239,13 @@ def _register_ops():
 
     _op("logsumexp")((lambda v, aux: special.logsumexp(v[0], aux), _lse_bwd))
     _op("matvec")((lambda v, aux: v[0] @ v[1],
-                   lambda g, v, out, aux: [np.outer(g, v[1]), v[0].T @ g]))
+                   lambda g, v, out, aux, need: [np.outer(g, v[1]) if need[0] else None,
+                                                 v[0].T @ g if need[1] else None]))
     _op("matmul")((lambda v, aux: v[0] @ v[1],
-                   lambda g, v, out, aux: [g @ v[1].T, v[0].T @ g]))
+                   lambda g, v, out, aux, need: [g @ v[1].T if need[0] else None,
+                                                 v[0].T @ g if need[1] else None]))
 
-    def _concat_bwd(g, v, out, aux):
+    def _concat_bwd(g, v, out, aux, need):
         axis = aux
         sizes = [a.shape[axis] for a in v]
         splits = np.cumsum(sizes)[:-1]
@@ -186,19 +253,23 @@ def _register_ops():
 
     _op("concat")((lambda v, aux: np.concatenate(v, axis=aux), _concat_bwd))
     _op("reshape")((lambda v, aux: v[0].reshape(aux),
-                    lambda g, v, out, aux: [g.reshape(v[0].shape)]))
+                    lambda g, v, out, aux, need: [g.reshape(v[0].shape)]))
 
-    def _slice_rows_bwd(g, v, out, aux):
+    def _slice_rows_bwd(g, v, out, aux, need):
         full = np.zeros(v[0].shape)
         full[aux[0]:aux[1]] = g
         return [full]
 
     _op("slice_rows")((lambda v, aux: v[0][aux[0]:aux[1]], _slice_rows_bwd))
-    _op("stop_gradient")((lambda v, aux: v[0], lambda g, v, out, aux: [None]))
+    # Never reached backward: a stop_gradient node has no ``needs`` bit.
+    _op("stop_gradient")((lambda v, aux: v[0], None))
     # aux = (sample, d_conc, d_rate): partials cached at sample time.
     _op("gamma_sample")((lambda v, aux: aux[0],
-                         lambda g, v, out, aux: [_unbroadcast(g * aux[1], v[0].shape),
-                                                 _unbroadcast(g * aux[2], v[1].shape)]))
+                         lambda g, v, out, aux, need: [
+                             _unbroadcast(g * aux[1], v[0].shape) if need[0] else None,
+                             _unbroadcast(g * aux[2], v[1].shape) if need[1] else None]))
+    # inputs (sd, sd, x, mu): sd twice, for its log and its quotient terms.
+    _op("normal_log_prob")((_normal_lp_fwd, _normal_lp_bwd))
 
 
 _register_ops()
@@ -213,6 +284,8 @@ class Tape:
         self._inputs: list[tuple[int, ...]] = []
         self._aux: list = []
         self.values: list[np.ndarray] = []
+        # needs[i]: node i depends on a leaf through differentiable ops.
+        self._needs: list[bool] = []
         self._param_leaves: list[tuple[int, ParamStore, str]] = []
 
     # -- plumbing ------------------------------------------------------------
@@ -238,27 +311,32 @@ class Tape:
         return self.const(x)
 
     def record(self, op: str, inputs: Iterable[NodeId], value=None, aux=None) -> NodeId:
-        """Append one node; computes the forward value unless one is supplied.
+        """Append one node and compute its forward value from the inputs.
 
-        ``value`` is required for the leaf opcodes (``const``/``leaf``) and is
-        otherwise recomputed from the inputs (and verified if given).
+        ``value`` is the node's value for the leaf opcodes (``const``/``leaf``),
+        and only for them: every other opcode computes its own, so a value
+        passed with one is refused rather than silently dropped.
         """
         if op not in _FORWARD:
             raise OpcodeError(f"unknown opcode {op!r}")
         inputs = tuple(inputs)
-        in_vals = [self.val(i) for i in inputs]
         if op in ("const", "leaf"):
             if value is None:
                 raise ValueError(f"{op} requires an explicit value")
             aux = np.asarray(value, dtype=np.float64)
             out = aux
+        elif value is not None:
+            raise ValueError(f"{op} computes its value; record takes a value only for const and leaf")
         else:
-            out = np.asarray(_FORWARD[op](in_vals, aux), dtype=np.float64)
+            out = np.asarray(_FORWARD[op]([self.val(i) for i in inputs], aux), dtype=np.float64)
         if not self.requires_grad:
             return NodeId(-1, out)
         idx = len(self._ops)
+        ins = tuple(i.index for i in inputs)
+        needs = self._needs
+        needs.append(op == "leaf" or (op != "stop_gradient" and any(needs[i] for i in ins)))
         self._ops.append(op)
-        self._inputs.append(tuple(i.index for i in inputs))
+        self._inputs.append(ins)
         self._aux.append(aux)
         self.values.append(out)
         return NodeId(idx)
@@ -352,6 +430,13 @@ class Tape:
     def stop_gradient(self, a):
         return self.record("stop_gradient", (self._lift(a),))
 
+    def normal_log_prob(self, value, mean, stddev, reduce: bool):
+        """log N(value | mean, stddev), elementwise; with ``reduce``, summed
+        over the trailing axis and flattened to 1-d.  One node."""
+        sd = self._lift(stddev)
+        return self.record("normal_log_prob", (sd, sd, self._lift(value), self._lift(mean)),
+                           aux=bool(reduce))
+
     def gamma_sample(self, conc, rate, rng, implicit_grad, shape) -> NodeId:
         """Draw Gamma(conc, rate) with cached implicit-reparameterization partials.
 
@@ -372,9 +457,11 @@ class Tape:
     # -- reverse pass ----------------------------------------------------------
 
     def backward(self, output: NodeId) -> dict[NodeId, np.ndarray]:
-        """Adjoints of a scalar output w.r.t. every node reachable backward.
+        """Adjoints of a scalar output w.r.t. the leaves it depends on.
 
-        Deterministic: a second call on the same tape returns an identical map.
+        Only nodes with the ``needs`` bit get an adjoint, and each non-leaf
+        adjoint is dropped once its node's backward has run.  Deterministic:
+        a second call on the same tape returns an identical map.
         """
         if not self.requires_grad:
             raise RuntimeError("tape was built with requires_grad=False")
@@ -383,25 +470,32 @@ class Tape:
         out_val = self.values[output.index]
         if out_val.size != 1:
             raise ValueError("backward requires a scalar output node")
+        needs = self._needs
+        leaves: dict[NodeId, np.ndarray] = {}
+        if not needs[output.index]:
+            return leaves
         grads: dict[int, np.ndarray] = {output.index: np.ones_like(out_val)}
         for idx in range(output.index, -1, -1):
-            g = grads.get(idx)
+            g = grads.pop(idx, None)
             if g is None:
                 continue
-            op = self._ops[idx]
             ins = self._inputs[idx]
             if not ins:
+                leaves[NodeId(idx)] = g
                 continue
-            in_vals = [self.values[i] for i in ins]
-            contribs = _BACKWARD[op](g, in_vals, self.values[idx], self._aux[idx])
-            for i, c in zip(ins, contribs):
-                if c is None:
+            need = [needs[i] for i in ins]
+            contribs = _BACKWARD[self._ops[idx]](g, [self.values[i] for i in ins],
+                                                 self.values[idx], self._aux[idx], need)
+            for i, n, c in zip(ins, need, contribs):
+                if not n:
                     continue
                 if i in grads:
                     grads[i] = grads[i] + c
+                elif self._inputs[i]:
+                    grads[i] = c      # never written in place, so it may alias
                 else:
                     grads[i] = np.array(c, dtype=np.float64, copy=True)
-        return {NodeId(i): g for i, g in grads.items()}
+        return leaves
 
     def param_grads(self, grad_map: dict[NodeId, np.ndarray]) -> dict[str, np.ndarray]:
         """Collect adjoints of bound parameter leaves, keyed by block name."""

@@ -10,7 +10,7 @@ from scipy import special as sps
 from hvi import dists, oracle, special
 from hvi.dists import UnsupportedKindError
 from hvi.rng import RngStream
-from hvi.tape import NodeId, Tape
+from hvi.tape import DomainError, NodeId, Tape
 
 
 def lp(dist, value):
@@ -146,6 +146,80 @@ class TestSampleBlocks:
         draws = t.val(dists.sample_reparam(dists.normal(mean, 1e-9), RngStream(0), t, n=4))
         assert draws.shape == (12, 2)
         np.testing.assert_allclose(draws, np.tile(mean, (4, 1)), atol=1e-6)
+
+
+LOG_2PI = float(np.log(2.0 * np.pi))
+
+
+def unfused_normal(t, value, mean, stddev, reduce):
+    """The Normal density as an eight-node chain: sub, div, square, mul, log,
+    add, sub, then the trailing-axis sum (and n·R flattening) when reduced."""
+    z = t.div(t.sub(value, mean), stddev)
+    lp = t.sub(t.mul(-0.5, t.square(z)), t.add(t.log(stddev), 0.5 * LOG_2PI))
+    if not reduce:
+        return lp
+    lp = t.sum(lp, axis=-1)
+    return t.reshape(lp, (-1,)) if np.ndim(t.val(lp)) > 1 else lp
+
+
+class TestFusedNormal:
+    """``dists.log_prob``'s one Normal node against the unfused chain: the
+    same bits in values and in every leaf adjoint."""
+
+    R, D, N = 3, 4, 5
+
+    def _run(self, case, fused):
+        g = np.random.default_rng(23)
+        R, D, N = self.R, self.D, self.N
+        v_shape, p_shape = {"scalar_sd": ((R, D), (R, D)), "live_sd": ((R, D), (R, D)),
+                            "tall_value": ((N * R, D), (R, D)),
+                            "tall_params": ((R, D), (N * R, D)),
+                            "one_d": ((D,), (D,)), "sd_reused": ((R, D), (R, D))}[case]
+        x0 = g.standard_normal(v_shape)
+        mu0 = g.standard_normal(p_shape)
+        s0 = g.uniform(-1.0, 1.5, p_shape)
+        t = Tape()
+        x, mu, s_leaf = t.leaf(x0), t.leaf(mu0), t.leaf(s0)
+        # Live value and mean through one op each, so adjoints pass intermediates.
+        value, mean = t.mul(x, 1.3), t.add(mu, 0.2)
+        sd = 0.7 if case == "scalar_sd" else t.softplus(s_leaf)
+        if fused:
+            out = dists.log_prob(dists.normal(mean, sd), value, t)
+        else:
+            v, m, s = value, mean, sd
+            if case == "tall_value":
+                v = t.reshape(value, (N, R, D))
+            elif case == "tall_params":
+                m, s = t.reshape(mean, (N, R, D)), t.reshape(sd, (N, R, D))
+            out = unfused_normal(t, v, m, s, reduce=case != "one_d")
+        obj = t.sum(t.mul(out, g.standard_normal(t.val(out).shape)))
+        if case == "sd_reused":
+            obj = t.add(obj, t.sum(t.mul(sd, sd)))
+        grads = t.backward(obj)
+        leaves = [x, mu] if case == "scalar_sd" else [x, mu, s_leaf]
+        return t.val(out), [grads[leaf] for leaf in leaves], t
+
+    @pytest.mark.parametrize("case", ["scalar_sd", "live_sd", "tall_value", "tall_params",
+                                      "one_d", "sd_reused"])
+    def test_values_and_leaf_adjoints_are_bitwise_equal(self, case):
+        got, got_grads, t = self._run(case, fused=True)
+        want, want_grads, _ = self._run(case, fused=False)
+        assert t._ops.count("normal_log_prob") == 1 and "log" not in t._ops
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        for a, b in zip(got_grads, want_grads):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("live", [False, True])
+    def test_nonpositive_stddev_raises_the_chain_opcodes(self, live):
+        t = Tape()
+        make = t.leaf if live else t.const
+        with pytest.raises(DomainError) as zero:
+            dists.log_prob(dists.normal(0.0, make(np.array([1.0, 0.0, -2.0]))), np.ones(3), t)
+        assert zero.value.opcode == "div" and zero.value.offending_value == 0.0
+        with pytest.raises(DomainError) as neg:
+            dists.log_prob(dists.normal(0.0, make(np.array([1.0, -2.0, -3.0]))), np.ones(3), t)
+        assert neg.value.opcode == "log" and neg.value.offending_value == -2.0
 
 
 class TestSampling:

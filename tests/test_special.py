@@ -39,6 +39,28 @@ def test_softplus_sigmoid_stability():
     assert sg[2] == 0.5
 
 
+def _softplus_reference(x):
+    return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
+
+
+def _sigmoid_reference(x):
+    t = np.exp(-np.abs(x))
+    return np.where(x >= 0.0, 1.0 / (1.0 + t), t / (1.0 + t))
+
+
+def test_softplus_sigmoid_bits_match_the_textbook_expressions():
+    # The in-place forms must give the bits of the plain expressions, signs of
+    # zero and NaN payloads included, contiguous or not.
+    nan = np.float64(np.nan)
+    edges = np.array([0.0, -0.0, np.inf, -np.inf, nan, -nan, 5e-324, -5e-324, 1e-300, -1e-300])
+    g = np.random.default_rng(11)
+    xs = np.concatenate([edges, np.linspace(-800.0, 800.0, 4000),
+                         g.uniform(-40.0, 40.0, 4000), g.standard_normal(4000) * 3.0])
+    for x in (xs, xs.reshape(-1, 2)[:, ::-1], xs[7]):
+        assert special.softplus(x).tobytes() == _softplus_reference(x).tobytes()
+        assert special.sigmoid(x).tobytes() == _sigmoid_reference(x).tobytes()
+
+
 def test_inv_softplus_round_trip():
     ys = np.array([1e-4, 0.1, 0.5, 1.0, 7.0])
     np.testing.assert_allclose(special.softplus(special.inv_softplus(ys)), ys, rtol=1e-12)

@@ -8,6 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hvi import tape as tape_mod
+from hvi.experiments import snr_grad_fn
+from hvi.models import flat_generative, make_snr_task
+from hvi.rng import RngStream
 from hvi.tape import DomainError, NodeId, OpcodeError, ParamStore, Tape
 
 FD_STEP = 1e-6
@@ -43,6 +47,15 @@ class TestRecord:
         assert exc.value.offending_value == -3.0
         with pytest.raises(DomainError):
             t.sqrt(t.const(-1.0))
+
+    def test_value_only_for_leaf_opcodes(self):
+        t = Tape()
+        a, b = t.leaf(1.0), t.const(2.0)
+        with pytest.raises(ValueError, match="computes its value"):
+            t.record("add", (a, b), value=3.0)
+        with pytest.raises(ValueError, match="requires an explicit value"):
+            t.record("const", ())
+        assert float(t.val(t.record("add", (a, b)))) == 3.0
 
     def test_ids_topologically_ordered(self):
         t = Tape()
@@ -98,6 +111,63 @@ class TestBackward:
         t = Tape()
         v = t.logsumexp(t.const(np.array([1000.0, 1000.0])))
         assert float(t.val(v)) == pytest.approx(1000.0 + math.log(2.0), rel=1e-15)
+
+
+class TestPruning:
+    """Only nodes that lead back to a leaf get adjoints; backward returns the
+    leaves' adjoints alone."""
+
+    def test_const_and_stopped_branches_get_no_adjoint(self, monkeypatch):
+        ran = []
+        for op, fn in list(tape_mod._BACKWARD.items()):
+            if fn is not None:
+                def logged(g, v, out, aux, need, fn=fn, op=op):
+                    contribs = fn(g, v, out, aux, need)
+                    ran.append((op, tuple(need), tuple(c is not None for c in contribs)))
+                    return contribs
+                monkeypatch.setitem(tape_mod._BACKWARD, op, logged)
+        t = Tape()
+        x = t.leaf(np.arange(6.0).reshape(3, 2))
+        h = t.matmul(x, t.const(np.ones((2, 2))))
+        stopped = t.matmul(t.const(np.eye(3)), t.stop_gradient(h))
+        const_only = t.exp(t.const(np.zeros((3, 2))))
+        out = t.sum(t.add(t.mul(h, stopped), const_only))
+        g = t.backward(out)
+        assert list(g) == [NodeId(x.index)]
+        assert ran == [("sum", (True,), (True,)), ("add", (True, False), (True, False)),
+                       ("mul", (True, False), (True, False)),
+                       ("matmul", (True, False), (True, False))]
+
+    def test_backward_returns_leaf_entries_only(self):
+        t = Tape()
+        x, y = t.leaf(np.array([0.5, 2.0])), t.leaf(3.0)
+        out = t.sum(t.mul(t.log(x), t.add(y, t.const(1.0))))
+        g = t.backward(out)
+        assert set(g) == {NodeId(x.index), NodeId(y.index)}
+        assert all(t._ops[k.index] == "leaf" for k in g)
+
+    def test_output_without_a_leaf_has_an_empty_map(self):
+        t = Tape()
+        t.leaf(1.0)
+        assert t.backward(t.sum(t.exp(t.const(np.zeros(2))))) == {}
+
+    def test_snr_unit_tape_stays_small(self, monkeypatch):
+        # One node per Normal density: an snr unit at K = 8 records 38 nodes
+        # (70 with each density as a chain), and its backward holds leaves only.
+        seen = []
+        real = Tape.backward
+
+        def spy(t, out):
+            gmap = real(t, out)
+            seen.append((t, gmap))
+            return gmap
+
+        monkeypatch.setattr(Tape, "backward", spy)
+        model, tau, store = make_snr_task(ParamStore(), RngStream(0))
+        snr_grad_fn("autodiff", flat_generative(), model, tau, store, 32, 8)(RngStream(1))
+        ((t, gmap),) = seen
+        assert len(t) <= 40
+        assert len(gmap) == 2 and all(t._ops[k.index] == "leaf" for k in gmap)
 
 
 class TestStopGradient:
