@@ -43,12 +43,13 @@ class Adam:
 
         Each of this optimizer's blocks gets its entry of ``grads`` (0 when
         absent; other names are ignored) before ``step``.  A NaN or inf
-        gradient raises FloatingPointError naming its block, with the
-        parameters and the moments unchanged.
+        gradient raises FloatingPointError naming its block and the step it
+        would have been, with the parameters and the moments unchanged.
         """
         for n in self.names:
             if n in grads and not np.all(np.isfinite(grads[n])):
-                raise FloatingPointError(f"non-finite gradient in parameter block {n!r}")
+                raise FloatingPointError(
+                    f"non-finite gradient in parameter block {n!r} at step {self._t + 1}")
         for n in self.names:
             self.store.grads[n][...] = grads.get(n, 0.0)
         self.step()

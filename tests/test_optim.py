@@ -34,7 +34,7 @@ def test_non_finite_gradient_raises_before_anything_moves(bad):
     opt.descend({"a": np.array([0.3, -0.2]), "b": np.array([[1.5]])})
     before = {n: store[n].copy() for n in store.names()}
     moments = [{n: v.copy() for n, v in d.items()} for d in (opt._m, opt._v, opt._vhat)]
-    with pytest.raises(FloatingPointError, match="'b'"):
+    with pytest.raises(FloatingPointError, match="block 'b' at step 2$"):
         opt.descend({"a": np.array([0.1, 0.1]), "b": np.array([[bad]])})
     for n in store.names():
         np.testing.assert_array_equal(store[n], before[n])
