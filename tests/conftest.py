@@ -28,6 +28,14 @@ def _synthetic_rings(n, side, seed):
     return np.exp(-((dist - radius) ** 2) / (2.0 * width ** 2))
 
 
+def write_synthetic_rings(out):
+    """The seeded ring images and zero labels, under make_data's file names."""
+    images = _synthetic_rings(SYNTHETIC_IMAGES, SYNTHETIC_SIDE, SYNTHETIC_SEED)
+    write_idx_images(os.path.join(out, "train-images-idx3-ubyte"), images)
+    # no driver reads the labels; the file is written so the layout matches make_data's
+    write_idx_labels(os.path.join(out, "train-labels-idx1-ubyte"), np.zeros(SYNTHETIC_IMAGES))
+
+
 @pytest.fixture(scope="session")
 def digit_scans_dir(tmp_path_factory):
     """make_data's real handwritten-digit scans; skips where scikit-learn is absent."""
@@ -47,8 +55,5 @@ def data_dir(tmp_path_factory):
     if importlib.util.find_spec("sklearn") is not None:
         make_data(str(out))
         return str(out)
-    images = _synthetic_rings(SYNTHETIC_IMAGES, SYNTHETIC_SIDE, SYNTHETIC_SEED)
-    write_idx_images(os.path.join(out, "train-images-idx3-ubyte"), images)
-    # no driver reads the labels; the file is written so the layout matches make_data's
-    write_idx_labels(os.path.join(out, "train-labels-idx1-ubyte"), np.zeros(SYNTHETIC_IMAGES))
+    write_synthetic_rings(str(out))
     return str(out)

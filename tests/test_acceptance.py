@@ -440,10 +440,10 @@ def _strip_wall(path):
     return [",".join(l.split(",")[:-1]) for l in open(path).read().splitlines()]
 
 
-def test_criterion_10_determinism(data_dir, tmp_path):
-    t0 = time.monotonic()
-    ck = str(tmp_path / "det.ckpt")
-    runs = {
+def determinism_runs(data_dir, ck):
+    """Criterion 10's small config of each experiment; vae-eval reads the
+    checkpoint vae-train writes to ``ck``."""
+    return {
         "toy-laplace": {"steps": "15", "replicates": "2", "k": "2"},
         "snr": {"steps": "5", "replicates": "3"},
         "vae-train": {"data_path": data_dir, "subset_size": "96", "epochs": "2",
@@ -453,6 +453,11 @@ def test_criterion_10_determinism(data_dir, tmp_path):
         "bounds-check": {"n_models": "5"},
         "jackknife-study": {"n_models": "3"},
     }
+
+
+def test_criterion_10_determinism(data_dir, tmp_path):
+    t0 = time.monotonic()
+    runs = determinism_runs(data_dir, str(tmp_path / "det.ckpt"))
     from hvi.experiments import RUNNERS
     all_ok = True
     for exp, opts in runs.items():
