@@ -104,7 +104,9 @@ def log_prob(dist, value, t: Tape) -> NodeId:
     sum folded in: its forward runs the textbook chain -0.5 ((x - mu) / sd)^2
     - (log sd + log(2 pi) / 2) in one buffer, and its backward forms only the
     adjoints that value, mean and stddev need, bit for bit as that chain
-    would.  The other families are chains of elementwise nodes.
+    would.  The Bernoulli density is likewise one ``bernoulli_log_prob``
+    node for x l - softplus(l).  Exponential and Gamma are chains of
+    elementwise nodes.
     """
     p = dist.params
     v_rows, p_rows = _rows(value, t), max(_rows(v, t) for v in p.values())
@@ -115,6 +117,10 @@ def log_prob(dist, value, t: Tape) -> NodeId:
              for k, v in p.items()}
     if dist.kind == "normal":
         return t.normal_log_prob(value, p["mean"], p["stddev"], reduce=_per_dim(t.val(value)))
+    if dist.kind == "bernoulli":
+        # x*log sigmoid(l) + (1-x)*log sigmoid(-l) = x*l - softplus(l),
+        # since log sigmoid(l) = l - softplus(l): one softplus pass.
+        return t.bernoulli_log_prob(value, p["logits"], reduce=_per_dim(t.val(value)))
     if dist.kind == "exponential":
         _check_support("exponential", value, t, lower=0.0)
         lp = t.sub(t.log(p["rate"]), t.mul(p["rate"], value))
@@ -123,11 +129,6 @@ def log_prob(dist, value, t: Tape) -> NodeId:
         a, r = p["concentration"], p["rate"]
         lp = t.sub(t.add(t.mul(a, t.log(r)), t.mul(t.sub(a, 1.0), t.log(value))),
                    t.add(t.lgamma(a), t.mul(r, value)))
-    elif dist.kind == "bernoulli":
-        # x*log sigmoid(l) + (1-x)*log sigmoid(-l) = x*l - softplus(l),
-        # since log sigmoid(l) = l - softplus(l): one softplus pass.
-        l = p["logits"]
-        lp = t.sub(t.mul(value, l), t.softplus(l))
     else:  # pragma: no cover
         raise UnsupportedKindError(dist.kind)
     return _reduce_last(t, lp, t.val(value))

@@ -234,6 +234,10 @@ class MlpCond:
     rows of x, or ``inputs`` when it is x) under n·B sample rows: it meets
     its rows of the weight on its own B rows, and the product is broadcast
     over the n sample blocks, so x is never tiled.
+
+    ``apply`` records one ``dense`` tape node per layer and for the gate (and
+    one more for a lead's B-row product), and one ``gated_head`` node per
+    head; ``extra`` joins each layer's input by a ``concat`` node.
     """
 
     store: ParamStore
@@ -251,22 +255,22 @@ class MlpCond:
         tail = [lift(extra)] if extra is not None else []
         blocks = ([lift(x)] if x is not None else []) + [lift(inputs)]
         for i in range(len(self.layer_sizes) - 1):
-            h = t.softplus(_affine(t, _layer_input(t, blocks + tail), p, f"w{i}", f"b{i}"))
-            blocks = [h]
+            layer = _affine(t, _layer_input(t, blocks + tail), p, f"w{i}", f"b{i}")
+            # On a no-grad tape this frees the last layer's output once it is
+            # joined with ``extra``, before the next layer's buffers exist.
+            del blocks
+            blocks = [t.dense(*layer, act="softplus")]
         top = _layer_input(t, blocks + tail)
-        gate = t.sigmoid(_affine(t, top, p, "w_gate", "b_gate"))  # (rows, 1)
+        del blocks
+        gate = t.dense(*_affine(t, top, p, "w_gate", "b_gate"), act="sigmoid")   # (rows, 1)
         out = {"gate": gate}
         for spec in self.heads:
-            raw = _affine(t, top, p, f"w_{spec.name}", f"b_{spec.name}")
-            if spec.transform == "identity":
-                val = raw
-            elif spec.transform == "positive":
-                val = t.add(t.softplus(raw), POSITIVE_FLOOR)
-            else:
+            if spec.transform not in ("identity", "positive"):
                 raise ValueError(f"unknown head transform {spec.transform!r}")
-            fb = t.const(np.broadcast_to(np.asarray(spec.fallback, dtype=np.float64),
-                                         (1, spec.dim)))
-            out[spec.name] = t.add(t.mul(gate, val), t.mul(t.sub(1.0, gate), fb))
+            fb = np.broadcast_to(np.asarray(spec.fallback, dtype=np.float64), (1, spec.dim))
+            out[spec.name] = t.gated_head(
+                gate, *_affine(t, top, p, f"w_{spec.name}", f"b_{spec.name}"), fallback=fb,
+                floor=POSITIVE_FLOOR if spec.transform == "positive" else None)
         return out
 
     def param_names(self) -> tuple:
@@ -285,22 +289,21 @@ def _layer_input(t: Tape, blocks: list):
 
 
 def _affine(t: Tape, layer_input, p, w: str, b: str):
-    """[lead, rest] @ p(w) + p(b), broadcasting a per-observation lead.
+    """(a, weight, shift, rows) of [lead, rest] @ p(w) + p(b) for a fused node.
 
-    The lead's product and the bias are formed on its B rows; the n·B rows
-    of rest meet only their own rows of the weight.
+    Without a lead that is (rest, p(w), p(b), None).  A per-observation lead
+    meets its rows of the weight on its own B rows, bias included, in a
+    ``dense`` node of its own; the n·B rows of rest meet only their rows of
+    the weight, and the lead's (B, width) product is their shift.
     """
     lead, rest = layer_input
     if lead is None:
-        return t.add(t.matmul(rest, p(w)), p(b))
-    rows, x_rows = n_rows(rest, t), n_rows(lead, t)
-    n = dists.sample_blocks(rows, x_rows, "x")
+        return rest, p(w), p(b), None
+    dists.sample_blocks(n_rows(rest, t), n_rows(lead, t), "x")
     weight = p(w)
     d, d_all = np.shape(t.val(lead))[1], np.shape(t.val(weight))[0]
-    per_x = t.add(t.matmul(lead, t.slice_rows(weight, 0, d)), p(b))         # (B, H)
-    per_sample = t.matmul(rest, t.slice_rows(weight, d, d_all))              # (n*B, H)
-    width = np.shape(t.val(per_x))[1]
-    return t.reshape(t.add(t.reshape(per_sample, (n, x_rows, width)), per_x), (rows, width))
+    per_x = t.dense(lead, weight, p(b), rows=(0, d))                       # (B, width)
+    return rest, weight, per_x, (d, d_all)
 
 
 def _head_bias_init(spec: HeadSpec) -> np.ndarray:

@@ -24,19 +24,28 @@ class Adam:
         self._t = 0
 
     def step(self) -> None:
+        """One update from ``store.grads``.  The moments are updated in place
+        with two scratch arrays per block, in the textbook expressions'
+        order; each parameter gets a fresh array, since tape leaves alias
+        the store's."""
         self._t += 1
         b1, b2 = self.beta1, self.beta2
         for n in self.names:
             g = self.store.grads[n]
-            self._m[n] = b1 * self._m[n] + (1 - b1) * g
-            self._v[n] = b2 * self._v[n] + (1 - b2) * g * g
-            m_hat = self._m[n] / (1 - b1 ** self._t)
+            m, v = self._m[n], self._v[n]
+            s1, s2 = np.empty_like(g), np.empty_like(g)
+            np.multiply(m, b1, out=m)                                  # b1 m + (1 - b1) g
+            np.add(m, np.multiply(g, 1 - b1, out=s1), out=m)
+            np.multiply(np.multiply(g, 1 - b2, out=s1), g, out=s1)    # b2 v + (1 - b2) g g
+            np.multiply(v, b2, out=v)
+            np.add(v, s1, out=v)
             if self.amsgrad:
-                self._vhat[n] = np.maximum(self._vhat[n], self._v[n])
-                v_hat = self._vhat[n] / (1 - b2 ** self._t)
-            else:
-                v_hat = self._v[n] / (1 - b2 ** self._t)
-            self.store[n] = self.store[n] - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+                v = np.maximum(self._vhat[n], v, out=self._vhat[n])
+            np.divide(m, 1 - b1 ** self._t, out=s1)                    # m_hat
+            np.divide(v, 1 - b2 ** self._t, out=s2)                    # v_hat
+            np.multiply(s1, self.lr, out=s1)                           # lr m_hat / (sqrt + eps)
+            np.add(np.sqrt(s2, out=s2), self.eps, out=s2)
+            self.store[n] = self.store[n] - np.divide(s1, s2, out=s1)
 
     def descend(self, grads: dict) -> None:
         """One step down ``grads``, a block name -> loss gradient map.

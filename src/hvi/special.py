@@ -78,18 +78,20 @@ def digamma(x):
     return np.log(xs) - 0.5 * inv - tail + shift
 
 
-def softplus(x):
+def softplus(x, out=None):
     """log(1 + exp(x)), overflow-safe: max(x, 0) + log1p(exp(-|x|)).
 
-    The log1p term is formed in the output buffer; max(x, 0) is the one
-    scratch array (a masked add of x measured slower than that pass).
+    The log1p term is formed in the output buffer, which may be ``x`` itself;
+    max(x, 0) is the one scratch array (a masked add of x measured slower
+    than that pass).
     """
     x = _as_f64(x)
-    out = np.abs(x, out=np.empty_like(x))
+    top = np.maximum(x, 0.0)
+    out = np.abs(x, out=np.empty_like(x) if out is None else out)
     np.negative(out, out=out)
     np.exp(out, out=out)
     np.log1p(out, out=out)
-    return np.add(np.maximum(x, 0.0), out, out=out)
+    return np.add(top, out, out=out)
 
 
 def sigmoid(x):

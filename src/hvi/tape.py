@@ -13,15 +13,24 @@ it), drops every intermediate adjoint once its node has been processed, and
 returns the leaves' adjoints alone (activity analysis; Griewank & Walther,
 *Evaluating Derivatives*, 2nd ed., SIAM 2008).
 
-The Normal log density is one opcode, ``normal_log_prob``, rather than the
-chain of elementwise nodes it replaces; its forward and backward repeat that
-chain's arithmetic in its order, so values and adjoints keep their bits.
+Fused opcodes replace chains of one-op nodes: ``normal_log_prob`` and
+``bernoulli_log_prob`` (densities with their trailing-axis sums), ``dense``
+(one MLP layer: matmul, shift, softplus or sigmoid) and ``gated_head`` (a
+head's affine map, its positive transform and the gate's blend with a
+fallback).  Their forwards and backwards repeat the chain's arithmetic, and
+its accumulation order at every fan-out, so values and adjoints keep their
+bits.  The forwards of ``dense`` (the gate's one column aside),
+``gated_head`` and ``bernoulli_log_prob`` hold one full-size work buffer
+plus at most one full-size scratch array at a time.
 
 Trainable parameters live outside the tape in a :class:`ParamStore` and are
 bound as leaf nodes per pass via :meth:`Tape.param`.
 
 Tapes can also run with ``requires_grad=False``; ops then compute eagerly and
 retain nothing, which is what the evaluation sweeps use to keep memory flat.
+There the fused nodes keep nothing either: a layer's activation runs in its
+product's buffer.  On a grad tape they keep only what their backward needs
+beyond inputs and value, such as a softplus layer's pre-activation.
 """
 
 from __future__ import annotations
@@ -110,13 +119,19 @@ _FORWARD = {}
 # adjoints, where need[i] says whether input i wants one; an entry for an
 # input without the bit is never read, so expensive sides skip it (None).
 _BACKWARD = {}
+# Opcodes whose forward is forward(values, aux, grad) -> (value, kept): on a
+# grad tape ``kept`` holds what the backward needs beyond the inputs and the
+# value (None on a no-grad tape), and the backward gets aux = (aux, kept).
+_KEEPS = set()
 
 
-def _op(name):
+def _op(name, keeps=False):
     def deco(fns):
         fwd, bwd = fns
         _FORWARD[name] = fwd
         _BACKWARD[name] = bwd
+        if keeps:
+            _KEEPS.add(name)
         return fns
     return deco
 
@@ -170,6 +185,130 @@ def _normal_lp_bwd(g, v, out, aux, need):
         d_x = _unbroadcast(gs, x.shape) if need[2] else None
         d_mu = _unbroadcast(-gs, mu.shape) if need[3] else None
     return [d_log, d_quot, d_x, d_mu]
+
+
+def _blocks(arr, shift):
+    """``arr`` viewed as (n, B, width) sample blocks when ``shift`` is a
+    (B, width) per-observation block under its n·B rows, else ``arr``."""
+    if shift.ndim == 2 and shift.shape[0] != arr.shape[0]:
+        return arr.reshape(-1, shift.shape[0], arr.shape[1])
+    return arr
+
+
+def _weight_rows(w, rows):
+    return w if rows is None else w[rows[0]:rows[1]]
+
+
+def _affine_fwd(a, w, shift, rows):
+    # a @ w[rows] + shift in the product's own buffer.
+    buf = np.matmul(a, _weight_rows(w, rows))
+    view = _blocks(buf, shift)
+    np.add(view, shift, out=view)
+    return buf
+
+
+def _affine_bwd(gp, a, w, shift, rows, need):
+    """Adjoints of (a, w, shift) from the pre-activation's adjoint ``gp``, as
+    the unfused add, matmul and slice_rows nodes formed them: a weight used
+    in ``rows`` (lo, hi) gets a zero-filled full-size adjoint."""
+    d_a = d_w = d_shift = None
+    if need[2]:
+        d_shift = _unbroadcast(_blocks(gp, shift), shift.shape)
+    if need[0]:
+        d_a = gp @ _weight_rows(w, rows).T
+    if need[1]:
+        d_w = a.T @ gp
+        if rows is not None:
+            full = np.zeros(w.shape)
+            full[rows[0]:rows[1]] = d_w
+            d_w = full
+    return [d_a, d_w, d_shift]
+
+
+def _dense_fwd(v, aux, grad):
+    # act(a @ w[rows] + shift): softplus in the product's buffer, or from the
+    # kept pre-activation into a fresh output on a grad tape.
+    a, w, shift = v
+    rows, act = aux
+    pre = _affine_fwd(a, w, shift, rows)
+    if act == "softplus":
+        return (special.softplus(pre), pre) if grad else (special.softplus(pre, out=pre), None)
+    if act == "sigmoid":
+        return special.sigmoid(pre), None
+    return pre, None
+
+
+def _dense_bwd(g, v, out, aux, need):
+    (rows, act), pre = aux
+    if act == "softplus":
+        sig = special.sigmoid(pre)
+        g = np.multiply(g, sig, out=sig)
+    elif act == "sigmoid":
+        g = g * out * (1.0 - out)
+    return _affine_bwd(g, *v, rows, need)
+
+
+def _gated_head_fwd(v, aux, grad):
+    # val = raw, or softplus(raw) + floor, with raw = a @ w[rows] + shift;
+    # out = gate * val + (1 - gate) * fallback.  A grad tape keeps raw and val.
+    gate, _, a, w, shift = v
+    rows, floor, fb = aux
+    raw = _affine_fwd(a, w, shift, rows)
+    val = raw
+    if floor is not None:
+        val = special.softplus(raw) if grad else special.softplus(raw, out=raw)
+        np.add(val, floor, out=val)
+    out = np.multiply(gate, val, out=np.empty_like(val) if grad else val)
+    np.add(out, np.multiply(np.subtract(1.0, gate), fb), out=out)
+    return out, ((raw, val) if grad else None)
+
+
+def _gated_head_bwd(g, v, out, aux, need):
+    # The reverse of the unfused chain's (1 - gate) * fallback term, then of
+    # its gate * val term, then of val's; the gate, an input twice, gets the
+    # two terms' adjoints in that order.
+    gate, _, a, w, shift = v
+    (rows, floor, fb), (raw, val) = aux
+    d_sub = d_gate = None
+    if need[0]:
+        tmp = np.multiply(g, fb)
+        d_sub = np.negative(_unbroadcast(tmp, gate.shape))
+        d_gate = _unbroadcast(np.multiply(g, val, out=tmp), gate.shape)
+    d_val = g * gate
+    if floor is not None:
+        d_val = np.multiply(d_val, special.sigmoid(raw), out=d_val)
+    return [d_sub, d_gate] + _affine_bwd(d_val, a, w, shift, rows, need[2:])
+
+
+def _bernoulli_lp_fwd(v, aux):
+    # x l - softplus(l): softplus(l) in its own buffer, x l in a work buffer
+    # that takes the difference; with ``aux``, summed over the trailing axis
+    # and (n, R) blocks flattened to n*R values.
+    l, _, x = v
+    sp = special.softplus(l)
+    buf = np.multiply(x, l)
+    np.subtract(buf, sp, out=buf)
+    if not aux:
+        return buf
+    out = np.sum(buf, axis=-1)
+    return out.reshape(-1) if out.ndim > 1 else out
+
+
+def _bernoulli_lp_bwd(g, v, out, aux, need):
+    # The unfused chain's reverse pass: logits get softplus's adjoint, then
+    # the product's (inputs (l, l, x)).
+    l, _, x = v
+    shape = np.broadcast_shapes(x.shape, l.shape)
+    if aux:
+        g = np.expand_dims(g.reshape(shape[:-1]), -1)
+    g = np.broadcast_to(g, shape)
+    d_sp = d_mul = d_x = None
+    if need[0]:
+        d_sp = _unbroadcast(np.negative(g), l.shape) * special.sigmoid(l)
+        d_mul = _unbroadcast(g * x, l.shape)
+    if need[2]:
+        d_x = _unbroadcast(g * l, x.shape)
+    return [d_sp, d_mul, d_x]
 
 
 def _register_ops():
@@ -270,6 +409,13 @@ def _register_ops():
                              _unbroadcast(g * aux[2], v[1].shape) if need[1] else None]))
     # inputs (sd, sd, x, mu): sd twice, for its log and its quotient terms.
     _op("normal_log_prob")((_normal_lp_fwd, _normal_lp_bwd))
+    # inputs (a, w, shift), aux (rows, act): act(a @ w[rows] + shift), where
+    # rows is (lo, hi) or None for all of w.
+    _op("dense", keeps=True)((_dense_fwd, _dense_bwd))
+    # inputs (gate, gate, a, w, shift), aux (rows, floor, fallback).
+    _op("gated_head", keeps=True)((_gated_head_fwd, _gated_head_bwd))
+    # inputs (logits, logits, x): logits twice, for softplus and the product.
+    _op("bernoulli_log_prob")((_bernoulli_lp_fwd, _bernoulli_lp_bwd))
 
 
 _register_ops()
@@ -327,6 +473,9 @@ class Tape:
             out = aux
         elif value is not None:
             raise ValueError(f"{op} computes its value; record takes a value only for const and leaf")
+        elif op in _KEEPS:
+            out, kept = _FORWARD[op]([self.val(i) for i in inputs], aux, self.requires_grad)
+            aux = (aux, kept)
         else:
             out = np.asarray(_FORWARD[op]([self.val(i) for i in inputs], aux), dtype=np.float64)
         if not self.requires_grad:
@@ -436,6 +585,34 @@ class Tape:
         sd = self._lift(stddev)
         return self.record("normal_log_prob", (sd, sd, self._lift(value), self._lift(mean)),
                            aux=bool(reduce))
+
+    def dense(self, a, weight, shift, rows=None, act=None):
+        """act(a @ weight[lo:hi] + shift), one node; ``rows`` = (lo, hi)
+        defaults to all of weight, and act is None, "softplus" or "sigmoid".
+
+        ``shift`` is a bias, or a (B, width) per-observation block that
+        broadcasts over the n sample blocks of a's n·B rows.
+        """
+        if act not in (None, "softplus", "sigmoid"):
+            raise ValueError(f"unknown activation {act!r}")
+        return self.record("dense", (self._lift(a), self._lift(weight), self._lift(shift)),
+                           aux=(rows, act))
+
+    def gated_head(self, gate, a, weight, shift, rows, fallback, floor=None):
+        """gate * val + (1 - gate) * fallback, one node, with val the affine
+        map ``dense`` forms (no activation), or softplus of it plus ``floor``
+        when a floor is given.  ``fallback`` is a constant (1, width) row."""
+        gate = self._lift(gate)
+        inputs = (gate, gate, self._lift(a), self._lift(weight), self._lift(shift))
+        return self.record("gated_head", inputs,
+                           aux=(rows, floor, np.asarray(fallback, dtype=np.float64)))
+
+    def bernoulli_log_prob(self, value, logits, reduce: bool):
+        """log Bernoulli(value | logits) = value * logits - softplus(logits),
+        elementwise; with ``reduce``, summed over the trailing axis and
+        flattened to 1-d.  One node."""
+        l = self._lift(logits)
+        return self.record("bernoulli_log_prob", (l, l, self._lift(value)), aux=bool(reduce))
 
     def gamma_sample(self, conc, rate, rng, implicit_grad, shape) -> NodeId:
         """Draw Gamma(conc, rate) with cached implicit-reparameterization partials.

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from hvi.bounds import (BoundConfig, diwhvi_elbo, eval_variants,
 from hvi.models import (AuxiliaryInference, ExplicitPrior, Generative,
                         HierarchicalModel, HierarchicalPrior, MlpCond, UnsupportedModelError,
                         make_discrete_hvm, make_gamma_mlp_tau, make_laplace_scale_mixture,
-                        n_rows, posterior_tau, prior_tau, sample_joint)
+                        make_mini_vae, n_rows, posterior_tau, prior_tau, sample_joint)
 from hvi.rng import RngStream
 from hvi.tape import ParamStore, Tape
 
@@ -335,6 +336,44 @@ class TestEvalVariants:
         assert es.diagnostics["cond_evals"] == M * (M * K + 1)
         dv = eval_variants(self.GEN, TWO_POINT, tau, X1, M, K, "DIWHVI_EVAL", RngStream(53))
         assert dv.diagnostics["cond_evals"] == M * (K + 1)
+
+
+class TestMiniVaeCosts:
+    """What one pass of the 784-64-64 mini VAE records and holds."""
+
+    @staticmethod
+    def _vae_and_images(B):
+        vae = make_mini_vae(784, 8, 8, (64, 64), RngStream(0))
+        return vae, (np.random.default_rng(0).random((B, 784)) < 0.3).astype(float)
+
+    def test_autodiff_step_records_at_most_110_nodes(self):
+        # One node per MLP layer, gate, head and Bernoulli density: the ELBO
+        # and its negation record 105 nodes, where one-op nodes made 195.
+        vae, x = self._vae_and_images(32)
+        t = Tape()
+        est = diwhvi_elbo(vae.gen, vae.q, vae.tau, None, x, BoundConfig(M=1, K=2),
+                          RngStream(1), t)
+        t.backward(t.neg(est.node))
+        assert len(t) <= 110
+
+    def test_diwhvi_eval_chunk_peak_memory(self):
+        # One evaluate_vae_bound chunk: 8 images, M = 100, K = 16, so the
+        # encoder runs on 13,600 rows of 64 hidden units (7.0 MB per array).
+        vae, x = self._vae_and_images(8)
+
+        def chunk(seed):
+            return eval_variants(vae.gen, vae.q, vae.tau, x, 100, 16, "DIWHVI_EVAL",
+                                 RngStream(seed), Tape(requires_grad=False))
+
+        chunk(1)                                                     # warm-up
+        tracemalloc.start()
+        try:
+            est = chunk(2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.isfinite(est.value)
+        assert peak <= 24 * 2**20
 
 
 class TestKlBounds:

@@ -222,6 +222,73 @@ class TestFusedNormal:
         assert neg.value.opcode == "log" and neg.value.offending_value == -2.0
 
 
+def unfused_bernoulli(t, value, logits, reduce):
+    """The Bernoulli density as the chain x*l - softplus(l) (mul, softplus,
+    sub), then the trailing-axis sum (and n·R flattening) when reduced."""
+    lp = t.sub(t.mul(value, logits), t.softplus(logits))
+    if not reduce:
+        return lp
+    lp = t.sum(lp, axis=-1)
+    return t.reshape(lp, (-1,)) if np.ndim(t.val(lp)) > 1 else lp
+
+
+class TestFusedBernoulli:
+    """``dists.log_prob``'s one Bernoulli node against the unfused chain: the
+    same bits in values and in every leaf adjoint."""
+
+    R, D, N = 3, 4, 5
+    CASES = ["equal_rows", "tall_logits", "tall_value", "one_d", "live_value", "logits_reused"]
+
+    def _run(self, case, fused):
+        g = np.random.default_rng(29)
+        R, D, N = self.R, self.D, self.N
+        v_shape, l_shape = {"tall_logits": ((R, D), (N * R, D)),
+                            "tall_value": ((N * R, D), (R, D)),
+                            "one_d": ((D,), (D,))}.get(case, ((R, D), (R, D)))
+        x0 = g.random(v_shape)                  # grey levels, and some 0s and 1s
+        x0[..., 0], x0[..., -1] = 0.0, 1.0
+        l0 = g.uniform(-6.0, 6.0, l_shape)
+        l0.flat[:2] = -40.0, 40.0
+        t = Tape()
+        x_leaf, l_leaf = t.leaf(x0), t.leaf(l0)
+        logits = t.mul(l_leaf, 1.3)             # live, through one op
+        value = t.mul(x_leaf, 0.9) if case == "live_value" else x0
+        if fused:
+            out = dists.log_prob(dists.bernoulli(logits=logits), value, t)
+        else:
+            v, l = value, logits
+            if case == "tall_logits":
+                l = t.reshape(logits, (N, R, D))
+            elif case == "tall_value":
+                v = np.reshape(value, (N, R, D))
+            out = unfused_bernoulli(t, v, l, reduce=case != "one_d")
+        obj = t.sum(t.mul(out, g.standard_normal(t.val(out).shape)))
+        if case == "logits_reused":
+            obj = t.add(obj, t.sum(t.mul(logits, logits)))
+        grads = t.backward(obj)
+        leaves = [l_leaf, x_leaf] if case == "live_value" else [l_leaf]
+        return t.val(out), [grads[leaf] for leaf in leaves], t
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_values_and_leaf_adjoints_are_bitwise_equal(self, case):
+        got, got_grads, t = self._run(case, fused=True)
+        want, want_grads, _ = self._run(case, fused=False)
+        assert t._ops.count("bernoulli_log_prob") == 1 and "softplus" not in t._ops
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        for a, b in zip(got_grads, want_grads):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    def test_no_grad_forward_matches_grad_forward(self):
+        g = np.random.default_rng(3)
+        x, l = (g.random((3, 4)) < 0.5).astype(float), g.uniform(-9, 9, (15, 4))
+        values = []
+        for requires_grad in (True, False):
+            t = Tape(requires_grad=requires_grad)
+            values.append(t.val(dists.log_prob(dists.bernoulli(logits=t.leaf(l)), x, t)))
+        assert values[0].tobytes() == values[1].tobytes()
+
+
 class TestSampling:
     def test_normal_location_scale_partials(self):
         t = Tape()

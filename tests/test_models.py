@@ -7,13 +7,13 @@ import numpy as np
 import pytest
 
 from hvi import dists, oracle
-from hvi.models import (HeadSpec, UnsupportedModelError, cat_rows, flat_generative,
-                        init_mlp_cond, load_params, log_joint, make_discrete_hvm,
-                        make_gamma_mlp_tau, make_laplace_scale_mixture, make_mini_vae,
-                        make_snr_task, posterior_tau, prior_tau, sample_joint,
-                        save_params)
+from hvi.models import (POSITIVE_FLOOR, HeadSpec, UnsupportedModelError, _layer_input,
+                        cat_rows, flat_generative, init_mlp_cond, load_params, log_joint,
+                        make_discrete_hvm, make_gamma_mlp_tau, make_laplace_scale_mixture,
+                        make_mini_vae, make_snr_task, n_rows, posterior_tau, prior_tau,
+                        sample_joint, save_params)
 from hvi.rng import RngStream
-from hvi.tape import ParamStore, Tape
+from hvi.tape import NodeId, ParamStore, Tape
 
 
 class TestDiscreteHvm:
@@ -250,6 +250,116 @@ class TestMlpCond:
         std = np.asarray(t.val(out["stddev"]))
         assert np.all(np.isfinite(mean)) and np.all(np.isfinite(std))
         assert np.all(std > 0)
+
+
+def unfused_apply(mlp, t, inputs, extra=None, x=None):
+    """MlpCond.apply as a chain of one-op nodes: matmul, add, softplus and
+    sigmoid per layer, a per-observation lead through slice_rows of the
+    weight and a broadcast add, and each head's blend as mul, sub, mul, add."""
+    def p(name):
+        return t.param(mlp.store, f"{mlp.prefix}.{name}")
+
+    def lift(v):
+        return v if isinstance(v, NodeId) else t.const(v)
+
+    def affine(layer_input, w, b):
+        lead, rest = layer_input
+        if lead is None:
+            return t.add(t.matmul(rest, p(w)), p(b))
+        rows, x_rows = n_rows(rest, t), n_rows(lead, t)
+        weight = p(w)
+        d, d_all = np.shape(t.val(lead))[1], np.shape(t.val(weight))[0]
+        per_x = t.add(t.matmul(lead, t.slice_rows(weight, 0, d)), p(b))
+        per_sample = t.matmul(rest, t.slice_rows(weight, d, d_all))
+        width = np.shape(t.val(per_x))[1]
+        return t.reshape(t.add(t.reshape(per_sample, (rows // x_rows, x_rows, width)), per_x),
+                         (rows, width))
+
+    tail = [lift(extra)] if extra is not None else []
+    blocks = ([lift(x)] if x is not None else []) + [lift(inputs)]
+    for i in range(len(mlp.layer_sizes) - 1):
+        blocks = [t.softplus(affine(_layer_input(t, blocks + tail), f"w{i}", f"b{i}"))]
+    top = _layer_input(t, blocks + tail)
+    gate = t.sigmoid(affine(top, "w_gate", "b_gate"))
+    out = {"gate": gate}
+    for spec in mlp.heads:
+        raw = affine(top, f"w_{spec.name}", f"b_{spec.name}")
+        val = raw if spec.transform == "identity" else t.add(t.softplus(raw), POSITIVE_FLOOR)
+        fb = t.const(np.broadcast_to(np.asarray(spec.fallback, dtype=np.float64), (1, spec.dim)))
+        out[spec.name] = t.add(t.mul(gate, val), t.mul(t.sub(1.0, gate), fb))
+    return out
+
+
+class TestFusedMlp:
+    """MlpCond.apply's dense and gated_head nodes against the unfused chain:
+    the same bits in every output and every leaf adjoint."""
+
+    B, N = 3, 4
+    HEADS = (HeadSpec("mean", 3, "identity", 0.3), HeadSpec("stddev", 3, "positive", 1.7),
+             HeadSpec("scale", 1, "positive", 0.6))
+    # case -> (hidden, inputs rows, x rows or None, extra rows or None)
+    CASES = {
+        "plain": ((6, 5), "NB", None, None),
+        "x_lead": ((6, 5), "NB", "B", None),           # tau: z under per-observation x
+        "x_same_rows": ((6, 5), "B", "B", None),       # n = 1: x joins the inputs
+        "extra": ((6, 5), "B", None, "NB"),            # encoder: B-row inputs lead, psi extra
+        "extra_same_rows": ((6,), "B", None, "B"),
+        "no_hidden_lead": ((), "NB", "B", None),        # the heads meet the lead
+    }
+
+    def _run(self, case, fused, requires_grad=True):
+        hidden, in_rows, x_rows, extra_rows = self.CASES[case]
+        rows = {"B": self.B, "NB": self.N * self.B}
+        g = np.random.default_rng(31)
+        store = ParamStore()
+        mlp = init_mlp_cond(store, "net", 4 + (3 if x_rows else 0), hidden, self.HEADS,
+                            RngStream(5), extra_dim=2 if extra_rows else 0)
+        for name in store.names():           # open the gates, move off the init
+            store[name] = store[name] + 0.5 * g.standard_normal(store[name].shape)
+        t = Tape(requires_grad=requires_grad)
+        in_leaf = t.leaf(g.standard_normal((rows[in_rows], 4)))
+        inputs = t.mul(in_leaf, 1.1)
+        x = g.standard_normal((rows[x_rows], 3)) if x_rows else None
+        ex_leaf = t.leaf(g.standard_normal((rows[extra_rows], 2))) if extra_rows else None
+        extra = t.mul(ex_leaf, 0.8) if extra_rows else None
+        apply = mlp.apply if fused else lambda *a, **k: unfused_apply(mlp, *a, **k)
+        out = apply(t, inputs, extra=extra, x=x)
+        values = {k: t.val(v) for k, v in out.items()}
+        if not requires_grad:
+            return values, None, t
+        obj = t.sum(t.mul(out["gate"], 0.3))
+        for k in out:
+            obj = t.add(obj, t.sum(t.mul(out[k], g.standard_normal(values[k].shape))))
+        for later in (inputs, extra):        # consumers after the net, so fan-out order shows
+            if later is not None:
+                obj = t.add(obj, t.sum(t.mul(later, later)))
+        adj = t.backward(obj)
+        grads = t.param_grads(adj)
+        grads["inputs"] = adj[in_leaf]
+        if ex_leaf is not None:
+            grads["extra"] = adj[ex_leaf]
+        return values, grads, t
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_values_and_leaf_adjoints_are_bitwise_equal(self, case):
+        got, got_grads, t = self._run(case, fused=True)
+        want, want_grads, _ = self._run(case, fused=False)
+        assert not {"matmul", "softplus", "sigmoid", "slice_rows"} & set(t._ops)
+        assert t._ops.count("gated_head") == len(self.HEADS)
+        assert got.keys() == want.keys() and got_grads.keys() == want_grads.keys()
+        for k in want:
+            assert got[k].shape == want[k].shape and got[k].tobytes() == want[k].tobytes(), k
+        for k in want_grads:
+            assert got_grads[k].shape == want_grads[k].shape, k
+            assert got_grads[k].tobytes() == want_grads[k].tobytes(), k
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_no_grad_forward_matches_grad_forward(self, case):
+        got, _, t = self._run(case, fused=True, requires_grad=False)
+        want, _, _ = self._run(case, fused=True)
+        assert len(t) == 0
+        for k in want:
+            assert got[k].tobytes() == want[k].tobytes(), k
 
 
 class TestGammaMlpTau:

@@ -59,6 +59,9 @@ def test_softplus_sigmoid_bits_match_the_textbook_expressions():
     for x in (xs, xs.reshape(-1, 2)[:, ::-1], xs[7]):
         assert special.softplus(x).tobytes() == _softplus_reference(x).tobytes()
         assert special.sigmoid(x).tobytes() == _sigmoid_reference(x).tobytes()
+        own = np.array(x, copy=True)                 # softplus in x's own buffer
+        assert special.softplus(own, out=own) is own
+        assert own.tobytes() == _softplus_reference(x).tobytes()
 
 
 def test_inv_softplus_round_trip():
