@@ -8,10 +8,12 @@ outputs passes this test as it stands.
 
 Checkpoints are compared by hash, not within a tolerance: the tape's
 reductions and BLAS calls are deterministic on one machine, so any changed
-bit is a changed computation.  Across machines the last bits may move with
-numpy, its BLAS or the CPU's SIMD kernels, so the file also records that
-fingerprint; where this machine's differs, the test skips and names the part
-that differs.
+bit is a changed computation.  OpenBLAS splits a matmul differently at
+each thread count, so the runs go to a child process with one BLAS thread,
+pinned before numpy loads there, whatever the calling environment sets.
+Across machines the last bits may move with numpy, its BLAS or the CPU's
+SIMD kernels, so the file also records that fingerprint; where this
+machine's differs, the test skips and names the part that differs.
 
 A change that alters seeded outputs on purpose regenerates the file with
 
@@ -24,12 +26,14 @@ import hashlib
 import json
 import os
 import platform
+import subprocess
 import sys
 import tempfile
 
 import numpy as np
 import pytest
 
+import hvi
 from conftest import write_synthetic_rings
 from hvi.config import load_config
 from hvi.experiments import EXPERIMENT_DEFAULTS, RUNNERS
@@ -37,6 +41,7 @@ from test_acceptance import determinism_runs
 
 DIGESTS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden_digests.json")
 SEED = "13"
+BLAS_ENV = {v: "1" for v in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
 
 
 def fingerprint() -> dict:
@@ -85,6 +90,18 @@ def seeded_digests(work: str) -> dict:
     return out
 
 
+def pinned_digests(work: str) -> dict:
+    """``seeded_digests(work)`` from a child process with one BLAS thread."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(hvi.__file__)))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    env = dict(os.environ, PYTHONPATH=path, **BLAS_ENV)
+    run = subprocess.run([sys.executable, os.path.abspath(__file__), "--digests", work],
+                         env=env, capture_output=True, text=True)
+    if run.returncode != 0:
+        raise RuntimeError(f"seeded runs failed:\n{run.stderr}")
+    return json.loads(run.stdout)
+
+
 def test_seeded_outputs_match_golden_digests(tmp_path):
     with open(DIGESTS, encoding="utf-8") as fh:
         golden = json.load(fh)
@@ -94,15 +111,18 @@ def test_seeded_outputs_match_golden_digests(tmp_path):
     if differs:
         pytest.skip("golden digests were recorded on another numpy/BLAS/CPU, where last "
                     "bits may differ; " + "; ".join(differs))
-    got = seeded_digests(str(tmp_path))
+    got = pinned_digests(str(tmp_path))
     changed = sorted(k for k in golden["digests"].keys() | got.keys()
                      if golden["digests"].get(k) != got.get(k))
     assert not changed, f"seeded outputs differ from golden_digests.json: {changed}"
 
 
 if __name__ == "__main__":
+    if sys.argv[1:2] == ["--digests"]:
+        json.dump(seeded_digests(sys.argv[2]), sys.stdout)
+        sys.exit(0)
     with tempfile.TemporaryDirectory() as work:
-        record = {"fingerprint": fingerprint(), "digests": seeded_digests(work)}
+        record = {"fingerprint": fingerprint(), "digests": pinned_digests(work)}
     with open(DIGESTS, "w", encoding="utf-8") as fh:
         json.dump(record, fh, indent=1, sort_keys=True)
         fh.write("\n")
