@@ -223,6 +223,27 @@ class TestHierarchicalElbos:
         se = np.asarray(est.per_x).std() / math.sqrt(n)
         assert est.value <= self.LOGPX + 4 * se
 
+    def test_warmup_weights_scale_inner_and_outer_gaps_exactly(self):
+        vae = make_mini_vae(12, 3, 3, (8,), RngStream(1))
+        x = (RngStream(2).uniform((4, 12)) < 0.5).astype(np.float64)
+        M, K, w_in, w_out = 2, 3, 0.25, 0.625
+        est = diwhvi_elbo(vae.gen, vae.q, vae.tau, None, x, BoundConfig(M=M, K=K),
+                          RngStream(3), w_inner=w_in, w_outer=w_out)
+        # The same pieces on the same stream, weighted by hand.
+        t, rng = Tape(requires_grad=False), RngStream(3)
+        psi0, z = sample_joint(vae.q, x, rng, t, rows=M * 4)
+        psis, ltau = vae.tau.sample_and_score(z, x, K, psi0, rng, t)
+        inner = t.val(vae.q.log_psi_prior(psis, x, t)) - t.val(ltau)
+        lw = t.val(vae.q.log_z_given_psi(z, psis, x, t)) + w_in * inner
+        den = t.val(t.logmeanexp(lw.reshape(K + 1, M * 4), axis=0))
+        gap = t.val(vae.gen.prior.log_prob(z, t)) - den
+        ratio = t.val(vae.gen.log_lik(x, z, t)) + w_out * gap
+        want = t.val(t.logmeanexp(ratio.reshape(M, 4), axis=0))
+        np.testing.assert_array_equal(est.per_x, want)
+        unweighted = diwhvi_elbo(vae.gen, vae.q, vae.tau, None, x, BoundConfig(M=M, K=K),
+                                 RngStream(3))
+        assert not np.any(unweighted.per_x == want)
+
     def test_hierarchical_prior_term(self):
         # p(z) itself a two-level finite model; DSIVI-style rho = prior marginal.
         p_model = make_discrete_hvm([0.6, 0.4], [[0.5, 0.5], [0.2, 0.8]])

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from hvi.cli import main
+from hvi import experiments
 from hvi.config import ConfigError, ExperimentConfig, load_config
 from hvi.idx import IdxFormatError, load_idx, write_idx_images, write_idx_labels
 from hvi.models import make_mini_vae, save_params
@@ -293,3 +294,35 @@ class TestVaeSmoke:
                         "--estimator", "dreg", "--out", str(tmp_path / "x.csv"),
                         "--epochs", "1", "--subset-size", "128"])
         assert code == 2
+
+
+class TestVaeTrainingPaths:
+    def test_refit_steps_only_tau_blocks(self):
+        cfg = load_config(None, overrides={"experiment": "vae-eval", "refit_epochs": "1",
+                                           "batch_size": "8", "k": "2"})
+        vae = make_mini_vae(12, 3, 3, (8,), RngStream(1))
+        before = {n: vae.store[n].tobytes() for n in vae.store.names()}
+        experiments.refit_tau(cfg, vae, RngStream(2).uniform((24, 12)), RngStream(3))
+        moved = {n for n in before if vae.store[n].tobytes() != before[n]}
+        assert moved == set(vae.store.names("tau."))
+
+    @pytest.mark.parametrize("binarization", ["fixed", "dynamic"])
+    def test_fixed_binarization_binarizes_the_training_set_once(self, tmp_path, data_dir,
+                                                                monkeypatch, binarization):
+        seen, elbo = [], experiments.diwhvi_elbo
+
+        def recording(gen, q, tau, rho, x, *args, **kwargs):
+            seen.append(np.array(x))
+            return elbo(gen, q, tau, rho, x, *args, **kwargs)
+
+        monkeypatch.setattr(experiments, "diwhvi_elbo", recording)
+        cfg = load_config(None, overrides={
+            "experiment": "vae-train", "data_path": data_dir, "subset_size": "72",
+            "val_fraction": "0", "batch_size": "8", "epochs": "2", "k_schedule": "0:1",
+            "hidden": "4", "z_dim": "2", "psi_dim": "2", "binarization": binarization,
+            "out": str(tmp_path / "t.csv")})
+        experiments.run_vae(cfg)
+        assert len(seen) == 18                    # 9 batches cover the 72 images each epoch
+        epochs = [sorted(r.tobytes() for r in np.concatenate(seen[e:e + 9])) for e in (0, 9)]
+        assert all(set(np.unique(b)) <= {0.0, 1.0} for b in seen)
+        assert (epochs[0] == epochs[1]) == (binarization == "fixed")

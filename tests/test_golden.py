@@ -1,10 +1,11 @@
 """Golden digests of seeded outputs.
 
-Runs criterion 10's small config of each of the six experiments, plus a DReG
-vae-train, on the seeded synthetic-ring images, and hashes each CSV with its
-``wall_ms`` column stripped and both vae-train checkpoints.  The hashes must
-equal those in ``golden_digests.json``: a refactor that claims unchanged
-outputs passes this test as it stands.
+Runs criterion 10's small config of each of the six experiments, plus three
+vae-train variants (DReG, fixed binarization, both KL warm-ups) and a
+vae-eval that refits tau, on the seeded synthetic-ring images, and hashes
+each CSV with its ``wall_ms`` column stripped and every vae-train
+checkpoint.  The hashes must equal those in ``golden_digests.json``: a
+refactor that claims unchanged outputs passes this test as it stands.
 
 Checkpoints are compared by hash, not within a tolerance: the tape's
 reductions and BLAS calls are deterministic on one machine, so any changed
@@ -58,11 +59,19 @@ def fingerprint() -> dict:
 
 def _runs(data_dir, work):
     ck = os.path.join(work, "autodiff.ckpt")
-    runs = [(exp, opts, None) for exp, opts in determinism_runs(data_dir, ck).items()]
+    det = determinism_runs(data_dir, ck)
+    runs = [(exp, opts, None) for exp, opts in det.items()]
+    train = {"data_path": data_dir, "subset_size": "96", "epochs": "2"}
+
+    def variant(tag, **opts):
+        return ("vae-train", dict(train, checkpoint=os.path.join(work, tag + ".ckpt"), **opts),
+                tag)
+
     # vae-eval reads the autodiff checkpoint, so it stays after vae-train.
-    runs.insert(3, ("vae-train", {"data_path": data_dir, "subset_size": "96", "epochs": "2",
-                                  "m": "2", "k_schedule": "0:3", "estimator": "dreg",
-                                  "checkpoint": os.path.join(work, "dreg.ckpt")}, "dreg"))
+    runs[3:3] = [variant("dreg", m="2", k_schedule="0:3", estimator="dreg"),
+                 variant("fixed", binarization="fixed"),
+                 variant("warmup", warmup_inner_kl="2", warmup_outer_kl="3"),
+                 ("vae-eval", dict(det["vae-eval"], refit_epochs="1"), "refit")]
     return runs
 
 

@@ -138,6 +138,14 @@ class TestSnrTask:
         full = float(model.exact_log_marginal(x.reshape(1, 10))[0])
         assert full == pytest.approx(10 * one_dim, abs=1e-6)
 
+    def test_posterior_draws_have_mean_half_x_plus_theta_and_variance_half(self):
+        model, _, _ = make_snr_task()
+        z = RngStream(1).normal((20000, 10)) * 2.0
+        t = Tape(requires_grad=False)
+        resid = t.val(model.sample_psi_posterior(z, None, RngStream(2), t)) - 0.5 * (z + 1.0)
+        assert abs(resid.mean()) < 0.01
+        assert resid.var() == pytest.approx(0.5, abs=0.01)
+
     def test_optimal_tau_mean_is_exact_posterior_mean(self):
         mean, var = oracle.snr_posterior_params(np.full(10, 2.0), np.ones(10))
         np.testing.assert_allclose(mean, 1.5)
