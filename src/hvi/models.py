@@ -64,6 +64,12 @@ class FiniteModelInfo:
             raise ValueError(f"posterior_psi: z = {z} has zero marginal probability")
         return w / total
 
+    def posterior_table(self) -> np.ndarray:
+        """(t, s) table whose row z is q(psi | z); a z of zero marginal, which
+        has no posterior, gets q(psi)."""
+        return np.stack([self.posterior_psi(j) if self.marginal(j) > 0.0 else self.psi_probs
+                         for j in range(self.z_size)], axis=0)
+
 
 @dataclass
 class HierarchicalModel:
@@ -390,12 +396,14 @@ def make_discrete_hvm(psi_probs, z_given_psi) -> HierarchicalModel:
     log_psi = _safe_log(psi_probs)
     log_cond = _safe_log(z_given_psi)           # (s, t)
 
+    posterior = info.posterior_table()
+    impossible = np.array([info.marginal(j) == 0.0 for j in range(info.z_size)])
+
     def sample_psi(x, rows, rng, t):
-        return np.array([rng.categorical(psi_probs) for _ in range(rows)], dtype=np.int64)
+        return rng.categorical(np.broadcast_to(psi_probs, (rows, info.psi_size)))
 
     def sample_z(psi, x, rng, t):
-        codes = np.asarray(psi, dtype=np.int64)
-        return np.array([rng.categorical(z_given_psi[c]) for c in codes], dtype=np.int64)
+        return rng.categorical(z_given_psi[np.asarray(psi, dtype=np.int64)])
 
     def log_psi_prior(psi, x, t):
         return _gather_const(t, log_psi, psi)
@@ -410,7 +418,10 @@ def make_discrete_hvm(psi_probs, z_given_psi) -> HierarchicalModel:
 
     def sample_psi_posterior(z, x, rng, t):
         codes = np.asarray(z, dtype=np.int64)
-        return np.array([rng.categorical(info.posterior_psi(int(c))) for c in codes], dtype=np.int64)
+        bad = codes[impossible[codes]]
+        if bad.size:
+            raise ValueError(f"sample_psi_posterior: z = {bad[0]} has zero marginal probability")
+        return rng.categorical(posterior[codes])
 
     return HierarchicalModel(
         sample_psi=sample_psi, sample_z=sample_z,
@@ -452,10 +463,7 @@ def make_discrete_tau(model: HierarchicalModel, probs=None, store: ParamStore | 
 
     def sample(z, x, k, rng, t):
         table = np.exp(t.val(_log_table(Tape(requires_grad=False))))
-        codes = np.asarray(z, dtype=np.int64)
-        out = [np.array([rng.categorical(table[int(c)]) for c in codes], dtype=np.int64)
-               for _ in range(k)]
-        return np.concatenate(out, axis=0)
+        return rng.categorical(table[np.tile(np.asarray(z, dtype=np.int64), k)])
 
     return AuxiliaryInference(log_prob=log_prob, sample=sample,
                               param_names=(name,) if store is not None else ())
@@ -470,9 +478,7 @@ def posterior_tau(model: HierarchicalModel) -> AuxiliaryInference:
     info = model.finite
     if info is None:
         raise UnsupportedModelError("posterior tau requires a finite model")
-    table = np.stack([info.posterior_psi(j) if info.marginal(j) > 0.0 else info.psi_probs
-                      for j in range(info.z_size)], axis=0)
-    return make_discrete_tau(model, probs=table)
+    return make_discrete_tau(model, probs=info.posterior_table())
 
 
 def prior_tau(model: HierarchicalModel) -> AuxiliaryInference:

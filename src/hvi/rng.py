@@ -96,11 +96,15 @@ class RngStream:
         np.negative(u, out=u)
         return _divide_into(u, rate)
 
-    def categorical(self, probs: np.ndarray) -> int:
-        """Index draw from a probability vector; 1 uniform."""
-        edges = np.cumsum(np.asarray(probs, dtype=np.float64))
-        u = self.uniform() * edges[-1]
-        return int(np.searchsorted(edges, u, side="right").clip(0, len(edges) - 1))
+    def categorical(self, probs: np.ndarray):
+        """Index draw from a probability vector (an int), or one per row of a
+        (rows, s) table (an int64 array); 1 uniform per draw, in row order,
+        so a table draws exactly what a loop over its rows would."""
+        edges = np.cumsum(np.asarray(probs, dtype=np.float64), axis=-1)
+        u = self.uniform(edges.shape[:-1]) * edges[..., -1]
+        # The count of edges <= u is searchsorted(edges, u, side="right").
+        codes = np.minimum(np.sum(edges <= u[..., None], axis=-1), edges.shape[-1] - 1)
+        return int(codes) if codes.ndim == 0 else codes.astype(np.int64)
 
     def gamma(self, concentration, rate=1.0, shape=None) -> np.ndarray:
         """Gamma(concentration, rate) via Marsaglia-Tsang squeeze.

@@ -21,11 +21,15 @@ from hvi.tape import ParamStore
 class TestConfig:
     def test_file_parsing_with_overrides(self, tmp_path):
         p = tmp_path / "c.cfg"
-        p.write_text("seed = 7\nk = 3   # comment\nk_schedule = 0:0, 10:2\nhidden=32,32\n")
+        p.write_text("# a vae-eval sweep\n\nseed = 7\nk = 3   # comment\n"
+                     "k_schedule = 0:0, 10:2\nhidden=32,32\n\nlearning_rate = 5e-4\n"
+                     "variants = SIVI_LIKE, DIWHVI_EVAL\n")
         cfg = load_config(str(p), overrides={"experiment": "toy-laplace", "k": "5"})
         assert cfg.seed == 7 and cfg.k == 5
         assert cfg.k_schedule == [(0, 0), (10, 2)]
         assert cfg.hidden == [32, 32]
+        assert cfg.learning_rate == 5e-4 and isinstance(cfg.learning_rate, float)
+        assert cfg.variants == ["SIVI_LIKE", "DIWHVI_EVAL"]
 
     def test_unknown_key_rejected(self, tmp_path):
         p = tmp_path / "c.cfg"

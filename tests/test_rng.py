@@ -140,6 +140,19 @@ def test_categorical_frequencies():
     np.testing.assert_allclose(freqs, probs, atol=0.02)
 
 
+def test_categorical_table_draws_what_a_row_loop_draws():
+    g = np.random.default_rng(3)
+    table = g.uniform(size=(500, 5)) * (g.uniform(size=(500, 5)) < 0.6)   # zero-probability cells
+    table[:, 2] += 1e-3                                                     # no all-zero row
+    table /= table.sum(axis=1, keepdims=True)
+    by_row, at_once = RngStream(4), RngStream(4)
+    loop = np.array([by_row.categorical(p) for p in table], dtype=np.int64)
+    codes = at_once.categorical(table)
+    assert codes.dtype == np.int64 and codes.tobytes() == loop.tobytes()
+    assert at_once.uniforms_consumed == by_row.uniforms_consumed == 500
+    assert at_once.uniform() == by_row.uniform()
+
+
 def test_gamma_requires_positive_concentration():
     with pytest.raises(ValueError):
         RngStream(0).gamma(np.array([0.0, 1.0]))
