@@ -54,15 +54,15 @@ class Estimate:
     diagnostics: dict = field(default_factory=dict)
 
 
-def effective_sample_size(log_weights: np.ndarray, axis=0) -> float:
-    """(sum w)^2 / sum w^2 over normalized weights, averaged across rows."""
+def effective_sample_size(log_weights: np.ndarray) -> float:
+    """(sum w)^2 / sum w^2 over each column's normalized weights, averaged across columns."""
     lw = np.asarray(log_weights, dtype=np.float64)
-    m = np.max(lw, axis=axis, keepdims=True)
+    m = np.max(lw, axis=0, keepdims=True)
     finite = np.isfinite(m)
     m = np.where(finite, m, 0.0)
     w = np.exp(lw - m)
-    s1 = np.sum(w, axis=axis)
-    s2 = np.sum(w * w, axis=axis)
+    s1 = np.sum(w, axis=0)
+    s2 = np.sum(w * w, axis=0)
     with np.errstate(invalid="ignore", divide="ignore"):
         ess = np.where(s2 > 0, s1 * s1 / s2, np.nan)
     if not np.any(np.isfinite(ess)):
@@ -70,16 +70,16 @@ def effective_sample_size(log_weights: np.ndarray, axis=0) -> float:
     return float(np.nanmean(ess))
 
 
-def _finish(t: Tape, node, log_weights_node, rows_axis_vals=None, diagnostics=None) -> Estimate:
-    lw = np.asarray(t.val(log_weights_node)) if isinstance(log_weights_node, NodeId) else np.asarray(log_weights_node)
-    per_x = np.asarray(t.val(rows_axis_vals)) if rows_axis_vals is not None else None
+def _finish(t: Tape, node, log_weights, per_x, diagnostics=None) -> Estimate:
+    """Estimate of scalar ``node`` from its (m, rows) log-weight and per-row nodes."""
+    lw = np.asarray(t.val(log_weights))
     diag = diagnostics or {}
-    degenerate = int(np.sum(~np.isfinite(np.max(lw, axis=0)))) if lw.ndim > 0 else 0
+    degenerate = int(np.sum(~np.isfinite(np.max(lw, axis=0))))
     if degenerate:
         diag["degenerate_rows"] = degenerate
     return Estimate(value=float(t.val(node)), node=node if t.requires_grad else None,
                     log_weights=lw, ess=effective_sample_size(lw),
-                    per_x=per_x, diagnostics=diag)
+                    per_x=np.asarray(t.val(per_x)), diagnostics=diag)
 
 
 # ---------------------------------------------------------------------------
@@ -201,9 +201,9 @@ def iwhvi_elbo(gen, q, tau, rho, x, config: BoundConfig, rng, t=None, **kw) -> E
     return diwhvi_elbo(gen, q, tau, rho, x, config, rng, t, **kw)
 
 
-def sivi_elbo(gen, q, x, K, rng, t=None, M: int = 1) -> Estimate:
+def sivi_elbo(gen, q, x, K, rng, t=None) -> Estimate:
     """Semi-implicit ELBO: the hierarchical bound with tau := q(psi | x)."""
-    return diwhvi_elbo(gen, q, prior_tau(q), None, x, BoundConfig(M=M, K=K), rng, t)
+    return diwhvi_elbo(gen, q, prior_tau(q), None, x, BoundConfig(K=K), rng, t)
 
 
 def sivi_reused(gen: Generative, q: HierarchicalModel, x, M: int, K: int,

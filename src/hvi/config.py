@@ -30,8 +30,6 @@ class ExperimentConfig:
     replicates: int = 10
     steps: int = 2000
     learning_rate: float = 2e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
     batch_size: int = 32
     epochs: int = 50
     lr_anneal_factor: float = 0.0                   # 0 disables annealing
@@ -58,7 +56,6 @@ class ExperimentConfig:
     train_k: int = 0
     z_dim: int = 8
     psi_dim: int = 8
-    input_dim: int = 784
     val_fraction: float = 0.1
 
     def validate(self) -> None:

@@ -37,6 +37,9 @@ def _task_id(*parts) -> int:
     return zlib.crc32(repr(parts).encode()) & 0x7FFFFFFF
 
 
+EVAL_CHUNK = 8          # images per evaluation bound call
+DATA_SIDE = 28          # make_data's image side, MNIST's
+
 EXPERIMENT_DEFAULTS: dict[str, dict] = {
     "toy-laplace": dict(k=10, steps=2000, learning_rate=2e-3, batch_size=32,
                         replicates=10, dim=50, hidden=[128, 128, 128]),
@@ -45,16 +48,10 @@ EXPERIMENT_DEFAULTS: dict[str, dict] = {
     "vae-train": dict(epochs=50, learning_rate=1e-3, batch_size=32, m=1,
                       k_schedule=[(0, 0), (5, 2), (15, 5)], hidden=[64, 64],
                       subset_size=2000),
-    "vae-eval": dict(m_list=[100], k_list=[0, 4, 16], eval_runs=10, eval_images=64,
-                     hidden=[64, 64]),
+    "vae-eval": dict(m_list=[100], k_list=[0, 4, 16], eval_runs=10, eval_images=64),
     "bounds-check": dict(n_models=50),
     "jackknife-study": dict(n_models=20),
 }
-
-
-def _percentiles(values):
-    arr = np.asarray(values, dtype=np.float64)
-    return float(np.median(arr)), float(np.percentile(arr, 5)), float(np.percentile(arr, 95))
 
 
 # ---------------------------------------------------------------------------
@@ -67,13 +64,12 @@ def _toy_eval(model, tau, K, draws, rng):
 
 
 def run_toy_laplace(cfg: ExperimentConfig) -> CsvWriter:
-    out = CsvWriter(cfg.out)
+    out = CsvWriter(cfg.out, cfg.experiment, cfg.seed)
     model = make_laplace_scale_mixture(cfg.dim)
     truth = -cfg.dim * (1.0 + np.log(2.0))
     base = RngStream(cfg.seed)
     ks = cfg.k_list or [cfg.k]
-    out.add(experiment=cfg.experiment, seed=cfg.seed, step=0, K=0, M=1,
-            estimator="analytic", metric="negative_entropy_truth", value=truth)
+    out.add(step=0, K=0, M=1, estimator="analytic", metric="negative_entropy_truth", value=truth)
     series: dict[tuple, list] = {}
     for ki, K in enumerate(ks):
         for rep in range(cfg.replicates):
@@ -81,15 +77,14 @@ def run_toy_laplace(cfg: ExperimentConfig) -> CsvWriter:
             store = ParamStore()
             tau = make_gamma_mlp_tau(cfg.dim, tuple(cfg.hidden), store, rng)
             sivi = prior_tau(model)
-            opt = Adam(store, store.names("tau."), lr=cfg.learning_rate,
-                       beta1=cfg.beta1, beta2=cfg.beta2)
+            opt = Adam(store, store.names("tau."), lr=cfg.learning_rate)
             xb = np.zeros((cfg.batch_size, 0))
 
             def record_point(step, draws):
                 erng = base.split(900000 + ki * 1000 + rep).split(step)
                 for name, t_tau in (("iwhvi", tau), ("sivi", sivi)):
                     v = _toy_eval(model, t_tau, K, draws, erng.split(0 if name == "iwhvi" else 1))
-                    out.add(experiment=cfg.experiment, seed=cfg.seed, step=step, K=K, M=1,
+                    out.add(step=step, K=K, M=1,
                             estimator=f"{name}/rep{rep}", metric="bound", value=v)
                     series.setdefault((K, step, name), []).append(v)
 
@@ -102,9 +97,7 @@ def run_toy_laplace(cfg: ExperimentConfig) -> CsvWriter:
                     record_point(step, cfg.eval_draws)
             record_point(cfg.steps, cfg.final_eval_draws)
     for (K, step, name), vals in sorted(series.items()):
-        med, lo, hi = _percentiles(vals)
-        out.add(experiment=cfg.experiment, seed=cfg.seed, step=step, K=K, M=1,
-                estimator=name, metric="bound_ci90", value=med, ci_low=lo, ci_high=hi)
+        out.add_ci90(vals, step=step, K=K, M=1, estimator=name, metric="bound_ci90")
     out.write()
     return out
 
@@ -116,8 +109,7 @@ def run_toy_laplace(cfg: ExperimentConfig) -> CsvWriter:
 def train_snr_tau(cfg: ExperimentConfig, store: ParamStore, model, tau, rng: RngStream):
     """AMSGrad training of the linear tau to optimality at K = train_k."""
     gen = flat_generative()
-    opt = Adam(store, ["snr.A", "snr.b"], lr=cfg.learning_rate,
-               beta1=cfg.beta1, beta2=cfg.beta2, amsgrad=True)
+    opt = Adam(store, ["snr.A", "snr.b"], lr=cfg.learning_rate, amsgrad=True)
     xb = np.zeros((cfg.batch_size, 0))
     for _ in range(cfg.steps):
         t = Tape()
@@ -125,7 +117,7 @@ def train_snr_tau(cfg: ExperimentConfig, store: ParamStore, model, tau, rng: Rng
         opt.descend(t.param_grads(t.backward(t.neg(est.node))))
 
 
-def snr_grad_fn(kind: str, gen, model, tau, store, batch: int, K: int):
+def snr_grad_fn(kind: str, gen, model, tau, batch: int, K: int):
     """Gradient-of-the-ELBO callables for the three estimators under study."""
     xb = np.zeros((batch, 0))
 
@@ -137,7 +129,7 @@ def snr_grad_fn(kind: str, gen, model, tau, store, batch: int, K: int):
         return fn
     if kind == "dreg":
         def fn(rng):
-            return grad_iwhvi_dreg(gen, model, tau, xb, BoundConfig(M=1, K=K), store, rng)
+            return grad_iwhvi_dreg(gen, model, tau, xb, BoundConfig(M=1, K=K), rng)
         return fn
     if kind == "iwae":
         # Lower-bound direction: autodiff through L_K at marginal draws.
@@ -152,7 +144,7 @@ def snr_grad_fn(kind: str, gen, model, tau, store, batch: int, K: int):
 
 
 def run_snr(cfg: ExperimentConfig) -> CsvWriter:
-    out = CsvWriter(cfg.out)
+    out = CsvWriter(cfg.out, cfg.experiment, cfg.seed)
     base = RngStream(cfg.seed)
     store = ParamStore()
     model, tau, store = make_snr_task(store, base.split(0))
@@ -160,21 +152,20 @@ def run_snr(cfg: ExperimentConfig) -> CsvWriter:
     theta = np.ones(10)
     err_a = float(np.max(np.abs(store["snr.A"] - 0.5 * np.eye(10))))
     err_b = float(np.max(np.abs(store["snr.b"] - 0.5 * theta)))
-    out.add(experiment=cfg.experiment, seed=cfg.seed, step=cfg.steps, K=cfg.train_k, M=1,
+    out.add(step=cfg.steps, K=cfg.train_k, M=1,
             estimator="amsgrad", metric="trained_A_maxerr", value=err_a)
-    out.add(experiment=cfg.experiment, seed=cfg.seed, step=cfg.steps, K=cfg.train_k, M=1,
+    out.add(step=cfg.steps, K=cfg.train_k, M=1,
             estimator="amsgrad", metric="trained_b_maxerr", value=err_b)
     gen = flat_generative()
     for K in (cfg.k_list or [cfg.k]):
         for kind in ("autodiff", "dreg", "iwae"):
-            fn = snr_grad_fn(kind, gen, model, tau, store, cfg.batch_size, K)
+            fn = snr_grad_fn(kind, gen, model, tau, cfg.batch_size, K)
             rep = measure_snr(fn, cfg.replicates, base.split(_task_id("snr", K, kind)))
-            med, lo, hi = _percentiles(np.concatenate(
-                [v[np.isfinite(v)].ravel() for v in rep.per_param.values()]))
-            out.add(experiment=cfg.experiment, seed=cfg.seed, step=cfg.steps, K=K, M=1,
+            out.add(step=cfg.steps, K=K, M=1,
                     estimator=kind, metric="snr_mean", value=rep.mean_snr)
-            out.add(experiment=cfg.experiment, seed=cfg.seed, step=cfg.steps, K=K, M=1,
-                    estimator=kind, metric="snr_median_ci90", value=med, ci_low=lo, ci_high=hi)
+            finite = [v[np.isfinite(v)].ravel() for v in rep.per_param.values()]
+            out.add_ci90(np.concatenate(finite), step=cfg.steps, K=K, M=1, estimator=kind,
+                         metric="snr_median_ci90")
     out.write()
     return out
 
@@ -212,25 +203,26 @@ def _binarize(images, rng):
     return (rng.uniform(images.shape) < images).astype(np.float64)
 
 
-def build_vae(cfg: ExperimentConfig, rng: RngStream) -> MiniVae:
-    return make_mini_vae(cfg.input_dim, cfg.z_dim, cfg.psi_dim, tuple(cfg.hidden), rng)
-
-
-def _vae_checkpoint_meta(cfg) -> np.ndarray:
-    return np.array([cfg.input_dim, cfg.z_dim, cfg.psi_dim] + list(cfg.hidden), dtype=np.float64)
+def _batches(data, batch_size: int, order_rng: RngStream):
+    """Mini-batches of ``data`` in an order drawn from ``order_rng``; a last
+    partial batch is dropped."""
+    order = np.argsort(order_rng.uniform((data.shape[0],)), kind="stable")
+    for lo in range(0, data.shape[0] - batch_size + 1, batch_size):
+        yield data[order[lo:lo + batch_size]]
 
 
 def run_vae(cfg: ExperimentConfig) -> CsvWriter:
     for name in ("warmup_inner_kl", "warmup_outer_kl"):
         if cfg.estimator == "dreg" and getattr(cfg, name) > 0:
             raise ConfigError(f"estimator=dreg assumes the unwarmed bound; disable {name}")
-    out = CsvWriter(cfg.out)
+    out = CsvWriter(cfg.out, cfg.experiment, cfg.seed)
     base = RngStream(cfg.seed)
     images = _load_images(cfg)
     train, val = _split_train_val(cfg, images, base.split(2))
-    vae = build_vae(cfg, base.split(0))
+    arch = [images.shape[1], cfg.z_dim, cfg.psi_dim] + list(cfg.hidden)
+    vae = make_mini_vae(*arch[:3], tuple(cfg.hidden), base.split(0))
     store = vae.store
-    opt = Adam(store, store.names(), lr=cfg.learning_rate, beta1=cfg.beta1, beta2=cfg.beta2)
+    opt = Adam(store, store.names(), lr=cfg.learning_rate)
     train_root = base.split(1)
     fixed = _binarize(train, base.split(3)) if cfg.binarization == "fixed" else None
     step_counter = 0
@@ -241,10 +233,8 @@ def run_vae(cfg: ExperimentConfig) -> CsvWriter:
         w_outer = cfg.warmup_weight(epoch, cfg.warmup_outer_kl)
         epoch_rng = base.split(4).split(epoch)
         data = fixed if fixed is not None else _binarize(train, epoch_rng)
-        order = np.argsort(epoch_rng.uniform((data.shape[0],)), kind="stable")
         bounds_seen = []
-        for lo in range(0, data.shape[0] - cfg.batch_size + 1, cfg.batch_size):
-            xb = data[order[lo:lo + cfg.batch_size]]
+        for xb in _batches(data, cfg.batch_size, epoch_rng):
             step_counter += 1
             rng_a = train_root.split(step_counter)
             t = Tape()
@@ -256,35 +246,35 @@ def run_vae(cfg: ExperimentConfig) -> CsvWriter:
                 # tau's blocks come from DReG alone, replacing the ELBO's.
                 rng_b = train_root.split(step_counter)   # same stream: same draws
                 dreg = grad_iwhvi_dreg(vae.gen, vae.q, vae.tau, xb,
-                                       BoundConfig(M=cfg.m, K=K), store, rng_b)
+                                       BoundConfig(M=cfg.m, K=K), rng_b)
                 for name, g in dreg.grads.items():
                     grads[name] = -g                     # ascent on the ELBO
             opt.descend(grads)
             bounds_seen.append(est.value)
-        out.add(experiment=cfg.experiment, seed=cfg.seed, step=epoch, K=K, M=cfg.m,
+        out.add(step=epoch, K=K, M=cfg.m,
                 estimator=cfg.estimator, metric="train_bound", value=float(np.mean(bounds_seen)))
+    K = cfg.k_at_epoch(cfg.epochs)
     kl_diag = expected_kl_tau_prior(vae.q, vae.tau, train[:256], 1024, base.split(5))
-    out.add(experiment=cfg.experiment, seed=cfg.seed, step=cfg.epochs, K=cfg.k_at_epoch(cfg.epochs),
-            M=cfg.m, estimator=cfg.estimator, metric="expected_kl_tau_prior", value=kl_diag)
+    out.add(step=cfg.epochs, K=K, M=cfg.m, estimator=cfg.estimator,
+            metric="expected_kl_tau_prior", value=kl_diag)
     if val.size:
-        vb = evaluate_vae_bound(vae, _binarize(val, base.split(6)), "DIWHVI_EVAL",
-                                M=16, K=cfg.k_at_epoch(cfg.epochs), rng=base.split(7))
-        out.add(experiment=cfg.experiment, seed=cfg.seed, step=cfg.epochs,
-                K=cfg.k_at_epoch(cfg.epochs), M=16, estimator=cfg.estimator,
-                metric="val_bound", value=vb)
+        vb = evaluate_vae_bound(vae, _binarize(val, base.split(6)), "DIWHVI_EVAL", 16, K,
+                                base.split(7))
+        out.add(step=cfg.epochs, K=K, M=16, estimator=cfg.estimator, metric="val_bound", value=vb)
     if cfg.checkpoint:
-        store["meta.arch"] = _vae_checkpoint_meta(cfg)
+        store["meta.arch"] = np.array(arch, dtype=np.float64)
         save_params(cfg.checkpoint, store)
     out.write()
     return out
 
 
 def evaluate_vae_bound(vae: MiniVae, images: np.ndarray, variant: str, M: int, K: int,
-                       rng: RngStream, chunk: int = 8) -> float:
-    """Mean per-image evaluation bound over an image set, chunked for memory."""
+                       rng: RngStream) -> float:
+    """Mean per-image evaluation bound over an image set, EVAL_CHUNK images at
+    a time for memory."""
     vals = []
-    for lo in range(0, images.shape[0], chunk):
-        xb = images[lo:lo + chunk]
+    for lo in range(0, images.shape[0], EVAL_CHUNK):
+        xb = images[lo:lo + EVAL_CHUNK]
         est = eval_variants(vae.gen, vae.q, vae.tau, xb, M, K, variant, rng,
                             Tape(requires_grad=False))
         vals.append(np.asarray(est.per_x))
@@ -328,9 +318,7 @@ def refit_tau(cfg: ExperimentConfig, vae: MiniVae, train: np.ndarray, rng: RngSt
     ctr = 0
     for epoch in range(cfg.refit_epochs):
         data = _binarize(train, rng.split(epoch))
-        order = np.argsort(rng.split(500 + epoch).uniform((data.shape[0],)), kind="stable")
-        for lo in range(0, data.shape[0] - cfg.batch_size + 1, cfg.batch_size):
-            xb = data[order[lo:lo + cfg.batch_size]]
+        for xb in _batches(data, cfg.batch_size, rng.split(500 + epoch)):
             ctr += 1
             t = Tape()
             est = diwhvi_elbo(vae.gen, vae.q, vae.tau, None, xb,
@@ -339,10 +327,14 @@ def refit_tau(cfg: ExperimentConfig, vae: MiniVae, train: np.ndarray, rng: RngSt
 
 
 def run_vae_eval(cfg: ExperimentConfig) -> CsvWriter:
-    out = CsvWriter(cfg.out)
+    out = CsvWriter(cfg.out, cfg.experiment, cfg.seed)
     base = RngStream(cfg.seed)
-    vae, _ = load_vae_checkpoint(cfg.checkpoint)
+    vae, blocks = load_vae_checkpoint(cfg.checkpoint)
     images = _load_images(cfg)
+    width = int(blocks["meta.arch"][0])
+    if images.shape[1] != width:
+        raise DataError(f"{cfg.data_path}: images have {images.shape[1]} pixels, but checkpoint "
+                        f"{cfg.checkpoint} takes {width} inputs")
     train, val = _split_train_val(cfg, images, base.split(2))
     if cfg.refit_epochs > 0:
         refit_tau(cfg, vae, train, base.split(11))
@@ -355,13 +347,11 @@ def run_vae_eval(cfg: ExperimentConfig) -> CsvWriter:
                 for run in range(cfg.eval_runs):
                     rng = base.split(_task_id(variant, M, K)).split(run)
                     v = evaluate_vae_bound(vae, eval_set, variant, M, K, rng)
-                    out.add(experiment=cfg.experiment, seed=cfg.seed, step=run, K=K, M=M,
-                            estimator=variant, metric="eval_bound", value=v)
+                    out.add(step=run, K=K, M=M, estimator=variant, metric="eval_bound", value=v)
                     series.setdefault((variant, M, K), []).append(v)
     for (variant, M, K), vals in sorted(series.items()):
-        med, lo, hi = _percentiles(vals)
-        out.add(experiment=cfg.experiment, seed=cfg.seed, step=cfg.eval_runs, K=K, M=M,
-                estimator=variant, metric="eval_bound_ci90", value=med, ci_low=lo, ci_high=hi)
+        out.add_ci90(vals, step=cfg.eval_runs, K=K, M=M, estimator=variant,
+                     metric="eval_bound_ci90")
     out.write()
     return out
 
@@ -371,31 +361,27 @@ def run_vae_eval(cfg: ExperimentConfig) -> CsvWriter:
 # ---------------------------------------------------------------------------
 
 def run_bounds_check(cfg: ExperimentConfig) -> CsvWriter:
-    out = CsvWriter(cfg.out)
+    out = CsvWriter(cfg.out, cfg.experiment, cfg.seed)
     base = RngStream(cfg.seed)
     for i in range(cfg.n_models):
         rng = base.split(i)
         model = oracle.random_finite_model(rng)
         tau = oracle.random_discrete_tau(rng, model)
         logq = oracle.exact_log_marginal_finite(model, 0)
-        out.add(experiment=cfg.experiment, seed=cfg.seed, step=i, K=0, M=1,
-                estimator="enumeration", metric="log_marginal", value=logq)
+        out.add(step=i, K=0, M=1, estimator="enumeration", metric="log_marginal", value=logq)
         for K in range(5):
             eu = oracle.exact_expected_bound(model, tau, 0, K, "U")
             el = oracle.exact_expected_bound(model, tau, 0, max(K, 1), "L")
-            out.add(experiment=cfg.experiment, seed=cfg.seed, step=i, K=K, M=1,
-                    estimator="enumeration", metric="expected_upper", value=eu)
-            out.add(experiment=cfg.experiment, seed=cfg.seed, step=i, K=K, M=1,
-                    estimator="enumeration", metric="expected_lower", value=el)
-            out.add(experiment=cfg.experiment, seed=cfg.seed, step=i, K=K, M=1,
-                    estimator="enumeration", metric="sandwich_holds",
+            out.add(step=i, K=K, M=1, estimator="enumeration", metric="expected_upper", value=eu)
+            out.add(step=i, K=K, M=1, estimator="enumeration", metric="expected_lower", value=el)
+            out.add(step=i, K=K, M=1, estimator="enumeration", metric="sandwich_holds",
                     value=float(el <= logq + 1e-10 and logq <= eu + 1e-10))
     out.write()
     return out
 
 
 def run_jackknife_study(cfg: ExperimentConfig) -> CsvWriter:
-    out = CsvWriter(cfg.out)
+    out = CsvWriter(cfg.out, cfg.experiment, cfg.seed)
     base = RngStream(cfg.seed)
     for i in range(cfg.n_models):
         rng = base.split(i)
@@ -405,9 +391,9 @@ def run_jackknife_study(cfg: ExperimentConfig) -> CsvWriter:
         for K in (3, 4, 5):
             eu = oracle.exact_expected_bound(model, tau, 0, K, "U")
             ej = oracle.exact_expected_bound(model, tau, 0, K, ("J", min(cfg.j, K)))
-            out.add(experiment=cfg.experiment, seed=cfg.seed, step=i, K=K, M=1,
+            out.add(step=i, K=K, M=1,
                     estimator="enumeration", metric="upper_bias", value=abs(eu - logq))
-            out.add(experiment=cfg.experiment, seed=cfg.seed, step=i, K=K, M=1,
+            out.add(step=i, K=K, M=1,
                     estimator="enumeration", metric="jackknife_bias", value=abs(ej - logq))
     out.write()
     return out
@@ -417,11 +403,12 @@ def run_jackknife_study(cfg: ExperimentConfig) -> CsvWriter:
 # Offline dataset materialization
 # ---------------------------------------------------------------------------
 
-def make_data(out_dir: str, side: int = 28) -> tuple[str, str]:
+def make_data(out_dir: str) -> tuple[str, str]:
     """Write the bundled handwritten-digit images as IDX files.
 
     Uses scikit-learn's offline digits set (1797 real 8x8 scans), upscaled to
-    ``side`` pixels by nearest neighbor.  Returns (images_path, labels_path).
+    DATA_SIDE x DATA_SIDE pixels by nearest neighbor.  Returns (images_path,
+    labels_path).
     """
     try:
         from sklearn.datasets import load_digits
@@ -430,7 +417,7 @@ def make_data(out_dir: str, side: int = 28) -> tuple[str, str]:
                         "(pip install artifact[data])") from exc
     digits = load_digits()
     imgs = digits.images / 16.0
-    idx = (np.arange(side) * imgs.shape[1]) // side
+    idx = (np.arange(DATA_SIDE) * imgs.shape[1]) // DATA_SIDE
     up = imgs[:, idx][:, :, idx]
     os.makedirs(out_dir, exist_ok=True)
     img_path = os.path.join(out_dir, "train-images-idx3-ubyte")

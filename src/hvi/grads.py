@@ -17,7 +17,7 @@ from .bounds import BoundConfig
 from .models import (AuxiliaryInference, ExplicitPrior, Generative, HierarchicalModel,
                      UnsupportedModelError, log_joint, sample_joint)
 from .rng import RngStream
-from .tape import ParamStore, Tape
+from .tape import Tape
 
 
 @dataclass
@@ -39,8 +39,7 @@ def grad_autodiff(build, rng: RngStream, param_prefix: str = "") -> GradEstimate
 
 
 def grad_iwhvi_dreg(gen: Generative, q: HierarchicalModel, tau: AuxiliaryInference,
-                    x: np.ndarray, config: BoundConfig, store: ParamStore,
-                    rng: RngStream) -> GradEstimate:
+                    x: np.ndarray, config: BoundConfig, rng: RngStream) -> GradEstimate:
     """Doubly reparameterized gradient of the hierarchical ELBO w.r.t. tau.
 
     Builds a surrogate whose autodiff gradient equals the estimator: frozen
@@ -96,12 +95,11 @@ def grad_iwhvi_dreg(gen: Generative, q: HierarchicalModel, tau: AuxiliaryInferen
     coef0 = sga * sgb[0] * scale
     term0 = t.sum(t.mul(t.const(coef0), ltau0_live))
     total = term0 if total is None else t.add(total, term0)
-    gmap = t.backward(total)
-    grads = t.param_grads(gmap)
-    out = {}
-    for name in tau.param_names:
-        out[name] = grads.get(name, np.zeros_like(store[name]))
-    return GradEstimate(grads=out)
+    grads = t.param_grads(t.backward(total))
+    missing = [name for name in tau.param_names if name not in grads]
+    if missing:
+        raise ValueError(f"tau's conditioner does not bind its blocks {missing}")
+    return GradEstimate(grads={name: grads[name] for name in tau.param_names})
 
 
 # ---------------------------------------------------------------------------

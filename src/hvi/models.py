@@ -530,8 +530,8 @@ def make_laplace_scale_mixture(dim: int) -> HierarchicalModel:
                              exact_log_marginal=exact_log_marginal)
 
 
-def make_gamma_mlp_tau(dim: int, hidden: tuple, store: ParamStore, rng: RngStream,
-                       prefix: str = "tau") -> AuxiliaryInference:
+def make_gamma_mlp_tau(dim: int, hidden: tuple, store: ParamStore,
+                       rng: RngStream) -> AuxiliaryInference:
     """Gamma tau(psi | z) with concentration/rate from a gated MLP.
 
     The net sees concat(z, |z|): the inverse conditional of a scale mixture is
@@ -542,7 +542,7 @@ def make_gamma_mlp_tau(dim: int, hidden: tuple, store: ParamStore, rng: RngStrea
     """
     heads = (HeadSpec("concentration", dim, "positive", 1.0),
              HeadSpec("rate", dim, "positive", 0.5))
-    mlp = init_mlp_cond(store, prefix, 2 * dim, tuple(hidden), heads, rng)
+    mlp = init_mlp_cond(store, "tau", 2 * dim, tuple(hidden), heads, rng)
 
     def params(z, x, t):
         zn = z if isinstance(z, NodeId) else t.const(z)
@@ -573,9 +573,8 @@ def make_snr_task(store: ParamStore | None = None, rng: RngStream | None = None)
         store = ParamStore()
     if rng is None:
         rng = RngStream(0)
-    if "snr.A" not in store:
-        store.add("snr.A", (rng.uniform((SNR_DIM, SNR_DIM)) * 2 - 1) * 0.3)
-        store.add("snr.b", (rng.uniform((SNR_DIM,)) * 2 - 1) * 0.3)
+    store.add("snr.A", (rng.uniform((SNR_DIM, SNR_DIM)) * 2 - 1) * 0.3)
+    store.add("snr.b", (rng.uniform((SNR_DIM,)) * 2 - 1) * 0.3)
 
     def sample_psi(x, rows, rng_, t):
         return t.const(theta + rng_.normal((rows, SNR_DIM)))
@@ -627,9 +626,8 @@ class MiniVae:
     store: ParamStore
 
 
-def make_mini_vae(input_dim: int = 784, z_dim: int = 8, psi_dim: int = 8,
-                  hidden=(64, 64), rng: RngStream | None = None,
-                  store: ParamStore | None = None) -> MiniVae:
+def make_mini_vae(input_dim: int, z_dim: int, psi_dim: int, hidden: tuple,
+                  rng: RngStream) -> MiniVae:
     """Bernoulli-decoder VAE with a hierarchical Gaussian encoder.
 
     Encoder layers act on their input concatenated with psi (heads included);
@@ -637,9 +635,7 @@ def make_mini_vae(input_dim: int = 784, z_dim: int = 8, psi_dim: int = 8,
     """
     if min(input_dim, z_dim, psi_dim) < 1:
         raise ValueError("all dims must be >= 1")
-    rng = rng or RngStream(0)
-    store = store or ParamStore()
-    hidden = tuple(hidden)
+    store = ParamStore()
 
     dec = init_mlp_cond(store, "dec", z_dim, hidden,
                         (HeadSpec("logits", input_dim, "identity", 0.0),), rng)

@@ -6,17 +6,17 @@ import numpy as np
 
 from .tape import ParamStore
 
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
 
 class Adam:
     """Standard Adam; ``amsgrad=True`` keeps the running max of the second
     moment (the variant the SNR study trains with)."""
 
-    def __init__(self, store: ParamStore, names, lr: float = 1e-3, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8, amsgrad: bool = False):
+    def __init__(self, store: ParamStore, names, lr: float = 1e-3, amsgrad: bool = False):
         self.store = store
         self.names = list(names)
         self.lr = lr
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.amsgrad = amsgrad
         self._m = {n: np.zeros_like(store[n]) for n in self.names}
         self._v = {n: np.zeros_like(store[n]) for n in self.names}
@@ -29,7 +29,7 @@ class Adam:
         order; each parameter gets a fresh array, since tape leaves alias
         the store's."""
         self._t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = BETA1, BETA2
         for n in self.names:
             g = self.store.grads[n]
             m, v = self._m[n], self._v[n]
@@ -44,7 +44,7 @@ class Adam:
             np.divide(m, 1 - b1 ** self._t, out=s1)                    # m_hat
             np.divide(v, 1 - b2 ** self._t, out=s2)                    # v_hat
             np.multiply(s1, self.lr, out=s1)                           # lr m_hat / (sqrt + eps)
-            np.add(np.sqrt(s2, out=s2), self.eps, out=s2)
+            np.add(np.sqrt(s2, out=s2), EPS, out=s2)
             self.store[n] = self.store[n] - np.divide(s1, s2, out=s1)
 
     def descend(self, grads: dict) -> None:

@@ -10,6 +10,8 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
+import numpy as np
+
 HEADER = "experiment,seed,step,K,M,estimator,metric,value,ci_low,ci_high,wall_ms"
 
 
@@ -48,16 +50,25 @@ class RunRecord:
 
 
 class CsvWriter:
-    """Collects rows and writes them once; a single writer serializes output."""
+    """Collects one run's rows, each stamped with its experiment and seed, and
+    writes them once; a single writer serializes output."""
 
-    def __init__(self, path: str):
+    def __init__(self, path: str, experiment: str, seed: int):
         self.path = path
+        self.experiment, self.seed = experiment, seed
         self.rows: list[RunRecord] = []
         self._t0 = time.monotonic()
 
     def add(self, **kw) -> None:
         kw.setdefault("wall_ms", int((time.monotonic() - self._t0) * 1000))
-        self.rows.append(RunRecord(**kw))
+        self.rows.append(RunRecord(self.experiment, self.seed, **kw))
+
+    def add_ci90(self, values, **kw) -> None:
+        """A row holding the median of ``values`` in its empirical 90% interval
+        (the 5th and 95th percentiles)."""
+        arr = np.asarray(values, dtype=np.float64)
+        self.add(value=float(np.median(arr)), ci_low=float(np.percentile(arr, 5)),
+                 ci_high=float(np.percentile(arr, 95)), **kw)
 
     def write(self) -> None:
         with open(self.path, "w", encoding="utf-8", newline="\n") as fh:

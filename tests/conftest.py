@@ -10,7 +10,8 @@ from hvi.experiments import make_data
 from hvi.idx import write_idx_images, write_idx_labels
 
 # At least the largest --subset-size the VAE tests pass (192), so every subset
-# is taken as written; side 28 is make_data's default, so input_dim = 784 fits.
+# is taken as written; side 28 is make_data's, so a VAE trained on either set
+# has 784 inputs.
 SYNTHETIC_IMAGES = 400
 SYNTHETIC_SIDE = 28
 SYNTHETIC_SEED = 20190501

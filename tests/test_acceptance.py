@@ -237,7 +237,7 @@ def test_criterion_05_gradient_correctness():
         def build(t, rng):
             return diwhvi_elbo(gen, model, tau, None, x, BoundConfig(M=1, K=K), rng, t).node
         ga = grad_autodiff(build, root.split(r), param_prefix="snr.")
-        gd = grad_iwhvi_dreg(gen, model, tau, x, BoundConfig(M=1, K=K), store, root.split(r))
+        gd = grad_iwhvi_dreg(gen, model, tau, x, BoundConfig(M=1, K=K), root.split(r))
         diffs.append(np.concatenate([(ga.grads[n] - gd.grads[n]).ravel()
                                      for n in ("snr.A", "snr.b")]))
     arr = np.stack(diffs)
@@ -286,7 +286,7 @@ def test_criterion_06_snr_directionality():
     stats = {}
     for K in (1, 8, 64):
         for kind in ("autodiff", "dreg"):
-            fn = snr_grad_fn(kind, gen, model, tau, store, cfg.batch_size, K)
+            fn = snr_grad_fn(kind, gen, model, tau, cfg.batch_size, K)
             rep = measure_snr(fn, cfg.replicates, base.split(1000 + K * 10 + (kind == "dreg")))
             flat = np.concatenate([v[np.isfinite(v)].ravel() for v in rep.per_param.values()])
             stats[(kind, K)] = (rep.mean_snr, flat.std() / math.sqrt(flat.size))

@@ -12,7 +12,7 @@ from hvi.cli import main
 from hvi import experiments
 from hvi.config import ConfigError, ExperimentConfig, load_config
 from hvi.idx import IdxFormatError, load_idx, write_idx_images, write_idx_labels
-from hvi.models import make_mini_vae, save_params
+from hvi.models import load_params, make_mini_vae, save_params
 from hvi.rng import RngStream
 from hvi.runrecord import HEADER, CsvWriter, RunRecord
 from hvi.tape import ParamStore
@@ -119,13 +119,15 @@ class TestRunRecord:
             RunRecord("x", 0, 0, 0, 1, "e", "m", value=2.0, ci_low=0.0, ci_high=1.0)
 
     def test_csv_loadable_with_header(self, tmp_path):
-        w = CsvWriter(str(tmp_path / "o.csv"))
-        w.add(experiment="t", seed=1, step=0, K=2, M=1, estimator="e", metric="m",
-              value=1.5, ci_low=1.0, ci_high=2.0)
+        w = CsvWriter(str(tmp_path / "o.csv"), "t", 1)
+        w.add(step=0, K=2, M=1, estimator="e", metric="m", value=1.5, ci_low=1.0, ci_high=2.0)
+        w.add_ci90([3.0, 1.0, 2.0], step=1, K=2, M=1, estimator="e", metric="m_ci90")
         w.write()
         rows = list(csv.DictReader(open(w.path)))
-        assert rows[0]["metric"] == "m"
+        assert [(r["experiment"], r["seed"], r["metric"]) for r in rows] == [
+            ("t", "1", "m"), ("t", "1", "m_ci90")]
         assert float(rows[0]["ci_low"]) <= float(rows[0]["value"]) <= float(rows[0]["ci_high"])
+        assert [float(rows[1][k]) for k in ("value", "ci_low", "ci_high")] == [2.0, 1.1, 2.9]
         assert open(w.path).readline().strip() == HEADER
 
 
@@ -197,6 +199,33 @@ class TestCliSurface:
                         "--out", str(tmp_path / "e.csv")])
         assert code == 3
         assert "meta.arch" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["input_dim", "beta1", "beta2"])
+    def test_removed_keys_are_unknown(self, tmp_path, capsys, key):
+        p = tmp_path / "c.cfg"
+        p.write_text(f"{key} = 1\n")
+        assert run_cli(["vae-train", "--config", str(p)]) == 2
+        assert f"unknown key {key!r}" in capsys.readouterr().err
+
+    def test_vae_input_width_comes_from_the_images(self, tmp_path, data_dir, capsys):
+        small = tmp_path / "small"
+        small.mkdir()
+        write_idx_images(str(small / "train-images-idx3-ubyte"),
+                         np.random.default_rng(0).uniform(size=(48, 20, 20)))
+        ck = str(tmp_path / "small.ckpt")
+        assert run_cli(["vae-train", "--data-path", str(small), "--checkpoint", ck,
+                        "--epochs", "1", "--out", str(tmp_path / "t.csv")]) == 0
+        assert load_params(ck)["meta.arch"][0] == 400
+
+        wide = str(tmp_path / "wide.ckpt")
+        assert run_cli(["vae-train", "--data-path", data_dir, "--subset-size", "40",
+                        "--epochs", "1", "--checkpoint", wide,
+                        "--out", str(tmp_path / "w.csv")]) == 0
+        capsys.readouterr()
+        assert run_cli(["vae-eval", "--data-path", str(small), "--checkpoint", wide,
+                        "--out", str(tmp_path / "e.csv")]) == 3
+        err = capsys.readouterr().err
+        assert "400" in err and "784" in err
 
     def test_bounds_check_runs_and_validates(self, tmp_path):
         out = str(tmp_path / "bc.csv")

@@ -9,7 +9,7 @@ from hvi import dists, oracle, special
 from hvi.bounds import BoundConfig, diwhvi_elbo
 from hvi.grads import grad_autodiff, grad_iwhvi_dreg, measure_snr
 from hvi.models import (SNR_DIM, SNR_TAU_VAR, MlpCond, UnsupportedModelError, HierarchicalPrior,
-                        flat_generative, log_joint, make_discrete_hvm, make_discrete_tau,
+                        conditional_tau, flat_generative, log_joint, make_discrete_hvm, make_discrete_tau,
                         make_mini_vae, make_snr_task, n_rows, sample_joint, Generative)
 from hvi.rng import RngStream
 from hvi.tape import ParamStore, Tape
@@ -131,7 +131,7 @@ class TestDreg:
         gen = Generative(log_lik=lambda x, z, t: t.const(np.zeros(x.shape[0])), prior=p)
         with pytest.raises(UnsupportedModelError):
             grad_iwhvi_dreg(gen, model, tau, np.zeros((4, 0)), BoundConfig(M=1, K=1),
-                            store, RngStream(0))
+                            RngStream(0))
 
     def test_requires_tau_with_conditioner(self):
         # Discrete draws have no pathwise gradient: a tau without params raises.
@@ -141,7 +141,14 @@ class TestDreg:
         tau = make_discrete_tau(model, store=store)
         with pytest.raises(UnsupportedModelError):
             grad_iwhvi_dreg(flat_generative(), model, tau, np.zeros((4, 0)),
-                            BoundConfig(M=1, K=1), store, RngStream(0))
+                            BoundConfig(M=1, K=1), RngStream(0))
+
+    def test_block_the_conditioner_does_not_bind_raises_naming_it(self):
+        model, tau, _ = snr_setup()
+        tau = conditional_tau(tau.params, tau.family, tau.param_names + ("snr.c",))
+        with pytest.raises(ValueError, match="'snr.c'"):
+            grad_iwhvi_dreg(flat_generative(), model, tau, np.zeros((4, 0)),
+                            BoundConfig(M=1, K=1), RngStream(0))
 
     @pytest.mark.parametrize("M,K", [(1, 0), (1, 4), (3, 4)])
     def test_matches_surrogate_with_stopped_weights(self, M, K):
@@ -151,7 +158,7 @@ class TestDreg:
         model, tau, store = snr_setup(at_optimum=False)
         gen = flat_generative()
         x = np.zeros((7, 0))
-        got = grad_iwhvi_dreg(gen, model, tau, x, BoundConfig(M=M, K=K), store, RngStream(5))
+        got = grad_iwhvi_dreg(gen, model, tau, x, BoundConfig(M=M, K=K), RngStream(5))
         want = dreg_reference_surrogate_grads(gen, model, store, x, M, K, RngStream(5))
         for n in ("snr.A", "snr.b"):
             np.testing.assert_allclose(got.grads[n], want[n], rtol=1e-12, err_msg=n)
@@ -168,8 +175,7 @@ class TestDreg:
             return apply(self, t, inputs, *args, **kwargs)
 
         monkeypatch.setattr(MlpCond, "apply", counted)
-        grad_iwhvi_dreg(vae.gen, vae.q, vae.tau, x, BoundConfig(M=2, K=3), vae.store,
-                        RngStream(0))
+        grad_iwhvi_dreg(vae.gen, vae.q, vae.tau, x, BoundConfig(M=2, K=3), RngStream(0))
         assert rows == [2 * 4]
 
     def test_k0_reduces_to_weighted_score_term(self):
@@ -178,7 +184,7 @@ class TestDreg:
         model, tau, store = snr_setup(at_optimum=True)
         gen = flat_generative()
         x = np.zeros((16, 0))
-        got = grad_iwhvi_dreg(gen, model, tau, x, BoundConfig(M=1, K=0), store, RngStream(3))
+        got = grad_iwhvi_dreg(gen, model, tau, x, BoundConfig(M=1, K=0), RngStream(3))
 
         def build(t, rng):
             from hvi.models import sample_joint
@@ -204,7 +210,7 @@ class TestDreg:
             def build(t, rng):
                 return diwhvi_elbo(gen, model, tau, None, x, BoundConfig(M=M, K=K), rng, t).node
             ga = grad_autodiff(build, root.split(r), param_prefix="snr.")
-            gd = grad_iwhvi_dreg(gen, model, tau, x, BoundConfig(M=M, K=K), store, root.split(r))
+            gd = grad_iwhvi_dreg(gen, model, tau, x, BoundConfig(M=M, K=K), root.split(r))
             for n in diffs:
                 diffs[n].append(ga.grads[n] - gd.grads[n])
         for n, stack in diffs.items():
@@ -253,7 +259,7 @@ class TestDreg:
         root = RngStream(17)
         for r in range(R):
             g = grad_iwhvi_dreg(gen, model, tau, np.zeros((B, 0)), BoundConfig(M=1, K=0),
-                                store, root.split(r))
+                                root.split(r))
             for n in acc:
                 acc[n].append(g.grads[n])
         for n in acc:
@@ -301,7 +307,7 @@ class TestDreg:
             return diwhvi_elbo(*args, **kwargs)
 
         def descend(self, grads):
-            seen["grads"], seen["store"] = grads, self.store
+            seen["grads"] = grads
             raise FirstStep
 
         monkeypatch.setattr(experiments, "diwhvi_elbo", elbo)
@@ -318,8 +324,7 @@ class TestDreg:
         t = Tape()
         est = diwhvi_elbo(gen, q, tau, None, xb, config, step_rng, t, **seen["kwargs"])
         want = t.param_grads(t.backward(t.neg(est.node)))
-        dreg = grad_iwhvi_dreg(gen, q, tau, xb, config, seen["store"],
-                               RngStream(cfg.seed).split(1).split(1))
+        dreg = grad_iwhvi_dreg(gen, q, tau, xb, config, RngStream(cfg.seed).split(1).split(1))
         got = seen["grads"]
         assert set(got) == set(want) and set(tau.param_names) < set(got)
         for name in got:

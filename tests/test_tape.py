@@ -164,7 +164,7 @@ class TestPruning:
 
         monkeypatch.setattr(Tape, "backward", spy)
         model, tau, store = make_snr_task(ParamStore(), RngStream(0))
-        snr_grad_fn("autodiff", flat_generative(), model, tau, store, 32, 8)(RngStream(1))
+        snr_grad_fn("autodiff", flat_generative(), model, tau, 32, 8)(RngStream(1))
         ((t, gmap),) = seen
         assert len(t) <= 40
         assert len(gmap) == 2 and all(t._ops[k.index] == "leaf" for k in gmap)
