@@ -204,8 +204,7 @@ def _binarize(images, rng):
 
 
 def _batches(data, batch_size: int, order_rng: RngStream):
-    """Mini-batches of ``data`` in an order drawn from ``order_rng``; a last
-    partial batch is dropped."""
+    """Batches of ``data`` in an order drawn from ``order_rng``, a last partial one dropped."""
     order = np.argsort(order_rng.uniform((data.shape[0],)), kind="stable")
     for lo in range(0, data.shape[0] - batch_size + 1, batch_size):
         yield data[order[lo:lo + batch_size]]
@@ -253,14 +252,15 @@ def run_vae(cfg: ExperimentConfig) -> CsvWriter:
             bounds_seen.append(est.value)
         out.add(step=epoch, K=K, M=cfg.m,
                 estimator=cfg.estimator, metric="train_bound", value=float(np.mean(bounds_seen)))
-    K = cfg.k_at_epoch(cfg.epochs)
+    k_end = cfg.k_at_epoch(cfg.epochs)
     kl_diag = expected_kl_tau_prior(vae.q, vae.tau, train[:256], 1024, base.split(5))
-    out.add(step=cfg.epochs, K=K, M=cfg.m, estimator=cfg.estimator,
+    out.add(step=cfg.epochs, K=k_end, M=cfg.m, estimator=cfg.estimator,
             metric="expected_kl_tau_prior", value=kl_diag)
     if val.size:
-        vb = evaluate_vae_bound(vae, _binarize(val, base.split(6)), "DIWHVI_EVAL", 16, K,
+        vb = evaluate_vae_bound(vae, _binarize(val, base.split(6)), "DIWHVI_EVAL", 16, k_end,
                                 base.split(7))
-        out.add(step=cfg.epochs, K=K, M=16, estimator=cfg.estimator, metric="val_bound", value=vb)
+        out.add(step=cfg.epochs, K=k_end, M=16, estimator=cfg.estimator, metric="val_bound",
+                value=vb)
     if cfg.checkpoint:
         store["meta.arch"] = np.array(arch, dtype=np.float64)
         save_params(cfg.checkpoint, store)
@@ -270,8 +270,7 @@ def run_vae(cfg: ExperimentConfig) -> CsvWriter:
 
 def evaluate_vae_bound(vae: MiniVae, images: np.ndarray, variant: str, M: int, K: int,
                        rng: RngStream) -> float:
-    """Mean per-image evaluation bound over an image set, EVAL_CHUNK images at
-    a time for memory."""
+    """Mean per-image evaluation bound over an image set, EVAL_CHUNK images per call."""
     vals = []
     for lo in range(0, images.shape[0], EVAL_CHUNK):
         xb = images[lo:lo + EVAL_CHUNK]
@@ -407,8 +406,7 @@ def make_data(out_dir: str) -> tuple[str, str]:
     """Write the bundled handwritten-digit images as IDX files.
 
     Uses scikit-learn's offline digits set (1797 real 8x8 scans), upscaled to
-    DATA_SIDE x DATA_SIDE pixels by nearest neighbor.  Returns (images_path,
-    labels_path).
+    DATA_SIDE pixels a side by nearest neighbor.  Returns (images_path, labels_path).
     """
     try:
         from sklearn.datasets import load_digits

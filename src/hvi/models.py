@@ -65,8 +65,7 @@ class FiniteModelInfo:
         return w / total
 
     def posterior_table(self) -> np.ndarray:
-        """(t, s) table whose row z is q(psi | z); a z of zero marginal, which
-        has no posterior, gets q(psi)."""
+        """(t, s) table of rows q(psi | z); a z of zero marginal, which has none, gets q(psi)."""
         return np.stack([self.posterior_psi(j) if self.marginal(j) > 0.0 else self.psi_probs
                          for j in range(self.z_size)], axis=0)
 

@@ -64,8 +64,7 @@ class CsvWriter:
         self.rows.append(RunRecord(self.experiment, self.seed, **kw))
 
     def add_ci90(self, values, **kw) -> None:
-        """A row holding the median of ``values`` in its empirical 90% interval
-        (the 5th and 95th percentiles)."""
+        """A row of the median of ``values`` in their 5th-95th percentile interval."""
         arr = np.asarray(values, dtype=np.float64)
         self.add(value=float(np.median(arr)), ci_low=float(np.percentile(arr, 5)),
                  ci_high=float(np.percentile(arr, 95)), **kw)

@@ -61,11 +61,10 @@ def _runs(data_dir, work):
     ck = os.path.join(work, "autodiff.ckpt")
     det = determinism_runs(data_dir, ck)
     runs = [(exp, opts, None) for exp, opts in det.items()]
-    train = {"data_path": data_dir, "subset_size": "96", "epochs": "2"}
 
     def variant(tag, **opts):
-        return ("vae-train", dict(train, checkpoint=os.path.join(work, tag + ".ckpt"), **opts),
-                tag)
+        ck = os.path.join(work, tag + ".ckpt")
+        return ("vae-train", dict(det["vae-train"], checkpoint=ck, **opts), tag)
 
     # vae-eval reads the autodiff checkpoint, so it stays after vae-train.
     runs[3:3] = [variant("dreg", m="2", k_schedule="0:3", estimator="dreg"),
