@@ -318,10 +318,13 @@ def omega_sample(model: HierarchicalModel, tau: AuxiliaryInference, z, x, K: int
     lw = np.asarray(lw).reshape(K + 1, rows)
     draws_v = t.val(draws) if isinstance(draws, NodeId) else np.asarray(draws)
     draws_v = draws_v.reshape((K + 1, rows) + draws_v.shape[1:])
+    # One contiguous row of K + 1 weights per z row, so each row's sum keeps
+    # the pairwise order of a 1-d sum; one categorical call draws every pick.
+    lw = np.ascontiguousarray(lw.T)
+    w = np.exp(lw - np.max(lw, axis=1, keepdims=True))
+    picks = rng.categorical(w / w.sum(axis=1, keepdims=True))
     out = []
-    for b in range(rows):
-        w = np.exp(lw[:, b] - np.max(lw[:, b]))
-        h = rng.categorical(w / w.sum())
+    for b, h in enumerate(picks):
         order = [h] + [i for i in range(K + 1) if i != h]
         out.append(draws_v[order, b])
     return out

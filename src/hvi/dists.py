@@ -105,8 +105,9 @@ def log_prob(dist, value, t: Tape) -> NodeId:
     - (log sd + log(2 pi) / 2) in one buffer, and its backward forms only the
     adjoints that value, mean and stddev need, bit for bit as that chain
     would.  The Bernoulli density is likewise one ``bernoulli_log_prob``
-    node for x l - softplus(l).  Exponential and Gamma are chains of
-    elementwise nodes.
+    node for x l - softplus(l), and the Gamma density one ``gamma_log_prob``
+    node for a log r + (a - 1) log x - lgamma(a) - r x.  Exponential is a
+    chain of elementwise nodes.
     """
     p = dist.params
     v_rows, p_rows = _rows(value, t), max(_rows(v, t) for v in p.values())
@@ -115,22 +116,20 @@ def log_prob(dist, value, t: Tape) -> NodeId:
     elif p_rows > v_rows > 0:
         p = {k: _as_blocks(v, v_rows, "the density's value", t) if _rows(v, t) == p_rows else v
              for k, v in p.items()}
+    reduce = _per_dim(t.val(value))
     if dist.kind == "normal":
-        return t.normal_log_prob(value, p["mean"], p["stddev"], reduce=_per_dim(t.val(value)))
+        return t.normal_log_prob(value, p["mean"], p["stddev"], reduce=reduce)
     if dist.kind == "bernoulli":
         # x*log sigmoid(l) + (1-x)*log sigmoid(-l) = x*l - softplus(l),
         # since log sigmoid(l) = l - softplus(l): one softplus pass.
-        return t.bernoulli_log_prob(value, p["logits"], reduce=_per_dim(t.val(value)))
-    if dist.kind == "exponential":
-        _check_support("exponential", value, t, lower=0.0)
-        lp = t.sub(t.log(p["rate"]), t.mul(p["rate"], value))
-    elif dist.kind == "gamma":
+        return t.bernoulli_log_prob(value, p["logits"], reduce=reduce)
+    if dist.kind == "gamma":
         _check_support("gamma", value, t, lower=0.0, strict=True)
-        a, r = p["concentration"], p["rate"]
-        lp = t.sub(t.add(t.mul(a, t.log(r)), t.mul(t.sub(a, 1.0), t.log(value))),
-                   t.add(t.lgamma(a), t.mul(r, value)))
-    else:  # pragma: no cover
+        return t.gamma_log_prob(value, p["concentration"], p["rate"], reduce=reduce)
+    if dist.kind != "exponential":  # pragma: no cover
         raise UnsupportedKindError(dist.kind)
+    _check_support("exponential", value, t, lower=0.0)
+    lp = t.sub(t.log(p["rate"]), t.mul(p["rate"], value))
     return _reduce_last(t, lp, t.val(value))
 
 
@@ -191,10 +190,16 @@ def gamma_implicit_grad(concentration, rate, sample):
         raise ValueError("gamma_implicit_grad requires positive sample and parameters")
     x = r * s
     sums, dsums, upper = special.gammainc_sums(a, x)
-    dx_da = x * (dsums + sums * (np.log(x) - special.digamma(a)))
-    d_dconc = np.where(upper, dx_da, -dx_da) / r
-    d_drate = -s / r
-    return d_dconc, d_drate
+    # x (dsums + sums (log x - digamma(a))), negated off ``upper``, over r:
+    # formed in log x's buffer.
+    d_dconc = np.log(x, out=np.empty(sums.shape))
+    np.subtract(d_dconc, special.digamma(a), out=d_dconc)
+    np.multiply(sums, d_dconc, out=d_dconc)
+    np.add(dsums, d_dconc, out=d_dconc)
+    np.multiply(x, d_dconc, out=d_dconc)
+    np.negative(d_dconc, out=d_dconc, where=~upper)
+    np.divide(d_dconc, r, out=d_dconc)
+    return d_dconc, -s / r
 
 
 def log_prob_value(dist, value) -> np.ndarray:

@@ -9,6 +9,22 @@ The incomplete gamma function has one kernel, ``gammainc_sums``: the series
 and continued fraction without their x^a e^-x / Gamma(a) prefactor, each with
 its exact derivative in a.  ``gammainc_p`` uses the value part;
 ``dists.gamma_implicit_grad`` uses both, and the prefactor cancels there.
+
+The kernels below work in buffers they own, with the same arithmetic, in the
+same order, as the textbook expressions, so results keep their bits:
+
+* ``softplus``     -- the output (``out``, which may be x itself) plus one
+                      scratch array, max(x, 0)
+* ``sigmoid``      -- the output plus one scratch array, 1 + t
+* ``digamma``      -- five arrays of x's size (its copy, the shift, 1/x,
+                      1/x^2 and the series tail); masked in-place ufuncs move
+                      the elements still below 10, and the result lands in
+                      the copy
+* ``gammainc_sums`` -- per branch, one state of working-set-sized arrays,
+                      stepped in place: the series carries one scratch array
+                      (a + n), the continued fraction three; convergence tests
+                      reuse them.  Only the three-quarter drop copies, to the
+                      smaller working set.
 """
 
 from __future__ import annotations
@@ -64,18 +80,28 @@ def digamma(x):
         raise ValueError(f"digamma requires positive argument, got {np.min(x)}")
     shift = np.zeros_like(x)
     xs = np.array(x, copy=True)
+    inv = np.empty_like(x)
     for _ in range(10):
         mask = xs < 10.0
         if not np.any(mask):
             break
-        shift = shift - np.where(mask, 1.0 / xs, 0.0)
-        xs = np.where(mask, xs + 1.0, xs)
-    inv = 1.0 / xs
-    inv2 = inv * inv
-    # Bernoulli-series tail, good to ~1e-15 for xs >= 10.
-    tail = inv2 * (1.0 / 12.0 - inv2 * (1.0 / 120.0 - inv2 * (1.0 / 252.0 - inv2 * (
-        1.0 / 240.0 - inv2 * (1.0 / 132.0 - inv2 * 691.0 / 32760.0)))))
-    return np.log(xs) - 0.5 * inv - tail + shift
+        np.divide(1.0, xs, out=inv, where=mask)
+        np.subtract(shift, inv, out=shift, where=mask)
+        np.add(xs, 1.0, out=xs, where=mask)
+    np.divide(1.0, xs, out=inv)
+    inv2 = np.multiply(inv, inv, out=np.empty_like(inv))
+    # Bernoulli-series tail, good to ~1e-15 for xs >= 10:
+    # inv2 (1/12 - inv2 (1/120 - inv2 (1/252 - inv2 (1/240 - inv2 (1/132 - inv2 691/32760))))).
+    tail = np.multiply(inv2, 691.0, out=np.empty_like(inv))
+    np.divide(tail, 32760.0, out=tail)
+    for c in (1.0 / 132.0, 1.0 / 240.0, 1.0 / 252.0, 1.0 / 120.0, 1.0 / 12.0):
+        np.subtract(c, tail, out=tail)
+        np.multiply(inv2, tail, out=tail)
+    out = np.log(xs, out=xs)
+    np.multiply(inv, 0.5, out=inv)
+    np.subtract(out, inv, out=out)
+    np.subtract(out, tail, out=out)
+    return np.add(out, shift, out=out)
 
 
 def softplus(x, out=None):
@@ -200,22 +226,24 @@ def gammainc_sums(a, x):
 
 
 def _iterate(state, step, done, max_iter):
-    """Apply ``state = step(i, state)`` for i = 1, 2, ... until ``done(state)``
-    holds everywhere; raise if that takes ``max_iter`` steps.
+    """Apply ``step(i, state)`` for i = 1, 2, ... until ``done(state)`` holds
+    everywhere; raise if that takes ``max_iter`` steps.
 
     ``state`` is a tuple of equal-length arrays whose first two are the value
-    and its derivative.  Convergence is tested every ``_CHECK_EVERY`` steps;
-    once three quarters of the working set has converged, those elements are
-    written out and dropped, so the slow ones finish on a small array.  An
-    element may run a few steps past its own convergence; that moves it by
-    less than 1e-16 relative, as both sums' increments keep shrinking.
+    and its derivative; ``step`` updates them in place, the scratch arrays at
+    the tuple's end included.  Convergence is tested every ``_CHECK_EVERY``
+    steps; once three quarters of the working set has converged, those
+    elements are written out and dropped, so the slow ones finish on a small
+    array.  An element may run a few steps past its own convergence; that
+    moves it by less than 1e-16 relative, as both sums' increments keep
+    shrinking.
     """
     n = state[0].size
     val = np.empty(n)
     dval = np.empty(n)
     idx = np.arange(n)
     for i in range(1, max_iter):
-        state = step(i, state)
+        step(i, state)
         if i % _CHECK_EVERY:
             continue
         ok = done(state)
@@ -233,51 +261,72 @@ def _iterate(state, step, done, max_iter):
 
 
 def _series_start(a, x):
-    # S = sum_n t_n, t_0 = 1/a, t_n = t_{n-1} x / (a + n).
+    # S = sum_n t_n, t_0 = 1/a, t_n = t_{n-1} x / (a + n); one scratch array.
     term = 1.0 / a
     dterm = -term * term
-    return term, dterm, a, x, term, dterm
+    return term.copy(), dterm.copy(), a, x, term, dterm, np.empty_like(a)
 
 
 def _series_step(i, state):
-    s, ds, a, x, term, dterm = state
-    ap = a + i
-    term = term * x / ap
-    dterm = (dterm * x - term) / ap      # product rule on t_{n-1} * x / (a + n)
-    return s + term, ds + dterm, a, x, term, dterm
+    s, ds, a, x, term, dterm, ap = state
+    np.add(a, i, out=ap)
+    np.multiply(term, x, out=term)
+    np.divide(term, ap, out=term)
+    np.multiply(dterm, x, out=dterm)     # product rule on t_{n-1} * x / (a + n)
+    np.subtract(dterm, term, out=dterm)
+    np.divide(dterm, ap, out=dterm)
+    np.add(s, term, out=s)
+    np.add(ds, dterm, out=ds)
 
 
 def _series_done(state):
     # Every t_n > 0 and dt_n = -t_n sum_{k<=n} 1/(a+k) < 0, so |dt_n| <= eps |dS|
     # implies t_n <= eps S: one test covers the value and the derivative.
-    return state[5] >= _EPS * state[1]
+    lim = np.multiply(state[1], _EPS, out=state[6])
+    return state[5] >= lim
 
 
 def _cf_start(a, x):
-    # Steed: D_0 = 1/b_0, increment dl_0 = H_0 = D_0; db_i/da = -1.
+    # Steed: D_0 = 1/b_0, increment dl_0 = H_0 = D_0; db_i/da = -1.  Three
+    # scratch arrays.
     b = x + 1.0 - a
     d = 1.0 / b
     dd = d * d
-    return d, dd, a, b, d, dd, d, dd
+    return (d.copy(), dd.copy(), a, b, d, dd, d.copy(), dd.copy(),
+            np.empty_like(a), np.empty_like(a), np.empty_like(a))
 
 
 def _cf_step(i, state):
     # D_i = 1 / (b_i + a_i D_{i-1}), dl_i = (b_i D_i - 1) dl_{i-1}, H_i = H_{i-1} + dl_i.
     # On x >= a + 1 the denominator stays above b_i / 2 (checked for a in
     # [1e-3, 1e4], x up to 1e3 (a + 1)), so it needs no zero guard.
-    h, dh, a, b, d, dd, dl, ddl = state
-    an = i * (a - i)                     # a_i, with da_i/da = i
-    b = b + 2.0
-    ddn = 1.0 - i * d - an * dd          # -d/da of b_i + a_i D_{i-1}
-    d = 1.0 / (b + an * d)
-    dd = ddn * d * d
-    m = b * d - 1.0
-    ddl = (b * dd - d) * dl + m * ddl
-    dl = m * dl
-    return h + dl, dh + ddl, a, b, d, dd, dl, ddl
+    h, dh, a, b, d, dd, dl, ddl, an, ddn, tmp = state
+    np.subtract(a, i, out=an)
+    np.multiply(an, i, out=an)           # a_i = i (a - i), with da_i/da = i
+    np.add(b, 2.0, out=b)
+    np.multiply(d, i, out=ddn)           # -d/da of b_i + a_i D_{i-1}:
+    np.subtract(1.0, ddn, out=ddn)       # 1 - i D_{i-1} - a_i dD_{i-1}
+    np.multiply(an, dd, out=tmp)
+    np.subtract(ddn, tmp, out=ddn)
+    np.multiply(an, d, out=tmp)
+    np.add(b, tmp, out=tmp)
+    np.divide(1.0, tmp, out=d)
+    np.multiply(ddn, d, out=dd)
+    np.multiply(dd, d, out=dd)
+    m = np.multiply(b, d, out=an)        # m = b_i D_i - 1, in a_i's buffer
+    np.subtract(m, 1.0, out=m)
+    np.multiply(b, dd, out=tmp)          # ddl = (b_i dD_i - D_i) dl + m ddl
+    np.subtract(tmp, d, out=tmp)
+    np.multiply(tmp, dl, out=tmp)
+    np.multiply(m, ddl, out=ddl)
+    np.add(tmp, ddl, out=ddl)
+    np.multiply(m, dl, out=dl)
+    np.add(h, dl, out=h)
+    np.add(dh, ddl, out=dh)
 
 
 def _cf_done(state):
     # H > 0 and dH/da > 0 on this branch.
-    h, dh, dl, ddl = state[0], state[1], state[6], state[7]
-    return (np.abs(dl) <= _EPS * h) & (np.abs(ddl) <= _EPS * dh)
+    h, dh, dl, ddl, lim, mag = state[0], state[1], state[6], state[7], state[9], state[10]
+    ok = np.abs(dl, out=mag) <= np.multiply(h, _EPS, out=lim)
+    return ok & (np.abs(ddl, out=mag) <= np.multiply(dh, _EPS, out=lim))

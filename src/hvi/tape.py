@@ -13,8 +13,9 @@ it), drops every intermediate adjoint once its node has been processed, and
 returns the leaves' adjoints alone (activity analysis; Griewank & Walther,
 *Evaluating Derivatives*, 2nd ed., SIAM 2008).
 
-Fused opcodes replace chains of one-op nodes: ``normal_log_prob`` and
-``bernoulli_log_prob`` (densities with their trailing-axis sums), ``dense``
+Fused opcodes replace chains of one-op nodes: ``normal_log_prob``,
+``bernoulli_log_prob`` and ``gamma_log_prob`` (densities with their
+trailing-axis sums), ``dense``
 (one MLP layer: matmul, shift, softplus or sigmoid) and ``gated_head`` (a
 head's affine map, its positive transform and the gate's blend with a
 fallback).  Their forwards and backwards repeat the chain's arithmetic, and
@@ -311,6 +312,60 @@ def _bernoulli_lp_bwd(g, v, out, aux, need):
     return [d_sp, d_mul, d_x]
 
 
+def _gamma_lp_fwd(v, aux, grad):
+    # log Gamma(x | a, r) = (a log r + (a - 1) log x) - (lgamma(a) + r x),
+    # the chain's operations in a work buffer and one scratch array; a grad
+    # tape keeps log x.  With ``aux``, summed over the trailing axis and
+    # (n, R) blocks flattened to n*R values.
+    a, _, _, r, _, x, _ = v
+    _check_positive("log", r)
+    log_r = np.log(r)
+    _check_positive("log", x)
+    buf = np.empty(np.broadcast_shapes(a.shape, r.shape, x.shape))
+    log_x = np.log(x) if grad else np.log(x, out=buf)
+    _check_positive("lgamma", a)
+    np.multiply(a - 1.0, log_x, out=buf)
+    np.add(a * log_r, buf, out=buf)
+    tmp = np.multiply(r, x, out=np.empty(buf.shape))
+    np.add(special.lgamma(a), tmp, out=tmp)
+    np.subtract(buf, tmp, out=buf)
+    kept = log_x if grad else None
+    if not aux:
+        return buf, kept
+    out = np.sum(buf, axis=-1)
+    return (out.reshape(-1) if out.ndim > 1 else out), kept
+
+
+def _gamma_lp_bwd(g, v, out, aux, need):
+    # The unfused chain's reverse pass, operation for operation: a gets its
+    # lgamma, (a - 1) log x and a log r terms, r its r x and log r terms and
+    # x its r x and log x terms, each in the order the chain adds them.
+    a, _, _, r, _, x, _ = v
+    reduce, log_x = aux
+    shape = np.broadcast_shapes(a.shape, r.shape, x.shape)
+    if reduce:
+        g = np.broadcast_to(np.expand_dims(g.reshape(shape[:-1]), -1), shape).copy()
+    neg = -g
+    d_lg = d_am1 = d_log_r = d_rx_r = d_div_r = d_rx_x = d_log_x = None
+    if need[0] or need[3]:
+        g_ar = _unbroadcast(g, np.broadcast_shapes(a.shape, r.shape))
+    if need[3] or need[5]:
+        g_rx = _unbroadcast(neg, np.broadcast_shapes(r.shape, x.shape))
+    if need[0] or need[5]:
+        g_ax = _unbroadcast(g, np.broadcast_shapes(a.shape, x.shape))
+    if need[0]:
+        d_lg = _unbroadcast(neg, a.shape) * special.digamma(a)
+        d_am1 = _unbroadcast(g_ax * log_x, a.shape)
+        d_log_r = _unbroadcast(g_ar * np.log(r), a.shape)
+    if need[3]:
+        d_rx_r = _unbroadcast(g_rx * x, r.shape)
+        d_div_r = _unbroadcast(g_ar * a, r.shape) / r
+    if need[5]:
+        d_rx_x = _unbroadcast(g_rx * r, x.shape)
+        d_log_x = _unbroadcast(g_ax * (a - 1.0), x.shape) / x
+    return [d_lg, d_am1, d_log_r, d_rx_r, d_div_r, d_rx_x, d_log_x]
+
+
 def _register_ops():
     _op("const")((lambda v, aux: aux, None))
     _op("leaf")((lambda v, aux: aux, None))
@@ -416,6 +471,9 @@ def _register_ops():
     _op("gated_head", keeps=True)((_gated_head_fwd, _gated_head_bwd))
     # inputs (logits, logits, x): logits twice, for softplus and the product.
     _op("bernoulli_log_prob")((_bernoulli_lp_fwd, _bernoulli_lp_bwd))
+    # inputs (a, a, a, rate, rate, x, x): one slot per term of the chain
+    # that adds into that input.
+    _op("gamma_log_prob", keeps=True)((_gamma_lp_fwd, _gamma_lp_bwd))
 
 
 _register_ops()
@@ -613,6 +671,13 @@ class Tape:
         flattened to 1-d.  One node."""
         l = self._lift(logits)
         return self.record("bernoulli_log_prob", (l, l, self._lift(value)), aux=bool(reduce))
+
+    def gamma_log_prob(self, value, concentration, rate, reduce: bool):
+        """log Gamma(value | concentration, rate) = a log r + (a - 1) log x
+        - lgamma(a) - r x, elementwise; with ``reduce``, summed over the
+        trailing axis and flattened to 1-d.  One node."""
+        a, r, x = self._lift(concentration), self._lift(rate), self._lift(value)
+        return self.record("gamma_log_prob", (a, a, a, r, r, x, x), aux=bool(reduce))
 
     def gamma_sample(self, conc, rate, rng, implicit_grad, shape) -> NodeId:
         """Draw Gamma(conc, rate) with cached implicit-reparameterization partials.

@@ -15,7 +15,7 @@ from hvi.bounds import (BoundConfig, diwhvi_elbo, eval_variants,
                         upper_bound_U, upper_bound_U_joint)
 from hvi.models import (AuxiliaryInference, ExplicitPrior, Generative,
                         HierarchicalModel, HierarchicalPrior, MlpCond, UnsupportedModelError,
-                        make_discrete_hvm, make_gamma_mlp_tau, make_laplace_scale_mixture,
+                        log_joint, make_discrete_hvm, make_gamma_mlp_tau, make_laplace_scale_mixture,
                         make_mini_vae, n_rows, posterior_tau, prior_tau, sample_joint)
 from hvi.rng import RngStream
 from hvi.tape import ParamStore, Tape
@@ -469,6 +469,47 @@ class TestOmegaSampler:
         for key, c in counts.items():
             want = oracle.omega_closed_form(m, tau, 1, key)
             assert c / n == pytest.approx(want, abs=0.02)
+
+    def test_table_draw_matches_the_per_row_loop(self):
+        # One categorical call over all rows must draw, and consume, what a
+        # loop of one call per row drew: K + 1 = 9 weights per row take
+        # numpy's pairwise sum, so each row must be summed as a 1-d slice.
+        m = make_laplace_scale_mixture(3)
+        tau = prior_tau(m)
+        K, rows = 8, 16
+        x = np.zeros((rows, 0))
+        t = Tape(requires_grad=False)
+        z = t.val(sample_joint(m, x, RngStream(5), t)[1])
+
+        def per_row_loop(rng):
+            t = Tape(requires_grad=False)
+            draws, ltau = tau.sample_and_score(z, x, K + 1, None, rng, t)
+            lw = np.asarray(t.val(t.sub(log_joint(m, z, draws, x, t), ltau))).reshape(K + 1, rows)
+            draws_v = t.val(draws).reshape((K + 1, rows) + t.val(draws).shape[1:])
+            out = []
+            for b in range(rows):
+                w = np.exp(lw[:, b] - np.max(lw[:, b]))
+                h = rng.categorical(w / w.sum())
+                out.append(draws_v[[h] + [i for i in range(K + 1) if i != h], b])
+            return out
+
+        class Recording(RngStream):
+            """Keeps every probability table it is asked to draw from."""
+
+            def categorical(self, probs):
+                self.tables = getattr(self, "tables", []) + [np.array(probs)]
+                return super().categorical(probs)
+
+        got_rng, want_rng = Recording(13), Recording(13)
+        got = omega_sample(m, tau, z, x, K, got_rng)
+        want = per_row_loop(want_rng)
+        assert len(got) == len(want) == rows
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
+        assert got_rng.uniforms_consumed == want_rng.uniforms_consumed
+        # A pick rarely moves with the last bit of a weight, so compare the
+        # normalized weights themselves.
+        assert len(got_rng.tables) == 1
+        assert got_rng.tables[0].tobytes() == np.stack(want_rng.tables).tobytes()
 
 
 class TestJackknife:

@@ -9,6 +9,7 @@ from scipy import special as sps
 
 from hvi import dists, oracle, special
 from hvi.dists import UnsupportedKindError
+from hvi.models import with_first
 from hvi.rng import RngStream
 from hvi.tape import DomainError, NodeId, Tape
 
@@ -287,6 +288,99 @@ class TestFusedBernoulli:
             t = Tape(requires_grad=requires_grad)
             values.append(t.val(dists.log_prob(dists.bernoulli(logits=t.leaf(l)), x, t)))
         assert values[0].tobytes() == values[1].tobytes()
+
+
+def unfused_gamma(t, value, conc, rate, reduce):
+    """The Gamma density as the chain (a log r + (a - 1) log x) - (lgamma(a)
+    + r x), then the trailing-axis sum (and n·R flattening) when reduced."""
+    lp = t.sub(t.add(t.mul(conc, t.log(rate)), t.mul(t.sub(conc, 1.0), t.log(value))),
+               t.add(t.lgamma(conc), t.mul(rate, value)))
+    if not reduce:
+        return lp
+    lp = t.sum(lp, axis=-1)
+    return t.reshape(lp, (-1,)) if np.ndim(t.val(lp)) > 1 else lp
+
+
+class TestFusedGamma:
+    """``dists.log_prob``'s one Gamma node against the unfused chain: the
+    same bits in values and in every leaf adjoint."""
+
+    R, D, N = 3, 4, 5
+    CASES = ["equal_rows", "tall_value", "tall_params", "one_d", "conc_reused", "live_sample"]
+
+    def _run(self, case, fused):
+        g = np.random.default_rng(37)
+        R, D, N = self.R, self.D, self.N
+        v_shape, p_shape = {"tall_value": ((N * R, D), (R, D)),
+                            "tall_params": ((R, D), (N * R, D)),
+                            "one_d": ((D,), (D,))}.get(case, ((R, D), (R, D)))
+        x0 = g.gamma(1.5, 1.0, v_shape) + 1e-3
+        a0, r0 = g.uniform(-2.0, 2.0, p_shape), g.uniform(-2.0, 2.0, p_shape)
+        t = Tape()
+        x_leaf, a_leaf, r_leaf = t.leaf(x0), t.leaf(a0), t.leaf(r0)
+        # Live parameters and value through one op each, so adjoints pass
+        # intermediates.
+        conc, rate = t.softplus(a_leaf), t.softplus(r_leaf)
+        value = t.mul(x_leaf, 1.3)
+        leaves = [x_leaf, a_leaf, r_leaf]
+        if case == "live_sample":
+            # The toy's layout: a first block stacked on n blocks drawn from
+            # the density itself, scored against its R parameter rows.
+            draws = dists.sample_reparam(dists.gamma(conc, rate), RngStream(41), t, n=N - 1)
+            value = with_first(value, draws, t)
+        if fused:
+            out = dists.log_prob(dists.gamma(conc, rate), value, t)
+        else:
+            v, a, r = value, conc, rate
+            if case in ("tall_value", "live_sample"):
+                v = t.reshape(value, (N, R, D))
+            elif case == "tall_params":
+                a, r = t.reshape(conc, (N, R, D)), t.reshape(rate, (N, R, D))
+            out = unfused_gamma(t, v, a, r, reduce=case != "one_d")
+        obj = t.sum(t.mul(out, g.standard_normal(t.val(out).shape)))
+        if case == "conc_reused":
+            obj = t.add(obj, t.sum(t.mul(conc, conc)))
+        grads = t.backward(obj)
+        return t.val(out), [grads[leaf] for leaf in leaves], t
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_values_and_leaf_adjoints_are_bitwise_equal(self, case):
+        got, got_grads, t = self._run(case, fused=True)
+        want, want_grads, _ = self._run(case, fused=False)
+        assert t._ops.count("gamma_log_prob") == 1
+        assert "log" not in t._ops and "lgamma" not in t._ops
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        for a, b in zip(got_grads, want_grads):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    def test_no_grad_forward_matches_grad_forward(self):
+        g = np.random.default_rng(5)
+        x, a, r = g.gamma(2.0, 1.0, (15, 4)) + 1e-3, g.uniform(0.1, 3, (3, 4)), g.uniform(0.1, 3, (3, 4))
+        values = []
+        for requires_grad in (True, False):
+            t = Tape(requires_grad=requires_grad)
+            values.append(t.val(dists.log_prob(dists.gamma(t.leaf(a), t.leaf(r)), x, t)))
+        assert values[0].tobytes() == values[1].tobytes()
+
+    @pytest.mark.parametrize("live", [False, True])
+    @pytest.mark.parametrize("bad", ["rate", "concentration", "both"])
+    def test_nonpositive_parameters_raise_the_chain_opcodes(self, live, bad):
+        ok, neg = np.array([1.0, 2.0, 0.5]), np.array([1.0, 0.0, -2.0])
+        conc = neg if bad in ("concentration", "both") else ok
+        rate = neg if bad in ("rate", "both") else ok
+        raised = []
+        for fused in (True, False):
+            t = Tape()
+            make = t.leaf if live else t.const
+            a, r, x = make(conc), make(rate), np.full(3, 0.7)
+            with pytest.raises(DomainError) as err:
+                if fused:
+                    dists.log_prob(dists.gamma(a, r), x, t)
+                else:
+                    unfused_gamma(t, x, a, r, reduce=False)
+            raised.append((err.value.opcode, err.value.offending_value))
+        assert raised[0] == raised[1] == ("lgamma" if bad == "concentration" else "log", 0.0)
 
 
 class TestSampling:
