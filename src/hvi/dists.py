@@ -4,7 +4,8 @@ Every density is written once against the tape; parameters and values may be
 plain arrays (auto-lifted to constants) or live nodes.  Vector-shaped
 parameters mean a per-dimension product over the trailing axis, so a
 ``(rows, d)`` mean/scale pair scores ``(rows, d)`` values to ``(rows,)``
-log densities.  Nothing is tiled: where 2-d values and parameters differ in
+log densities; 0-d and 1-d values are scored as one-column rows, one log
+density per entry.  Nothing is tiled: where 2-d values and parameters differ in
 row count, n·R k-major rows meet R rows by broadcasting (the taller side
 viewed as (n, R, d) blocks) and give n·R log densities.
 """
@@ -62,20 +63,6 @@ def bernoulli(logits) -> DistributionSpec:
     return DistributionSpec("bernoulli", {"logits": logits})
 
 
-def _per_dim(value) -> bool:
-    return np.ndim(value) >= 2
-
-
-def _reduce_last(t: Tape, node, value):
-    # (rows, dim) inputs are per-dimension products: sum the trailing axis;
-    # (n, R, dim) blocks flatten to n·R values.  Scalars and 1-d vectors are
-    # independent evaluations, left elementwise.
-    if not _per_dim(value):
-        return node
-    node = t.sum(node, axis=-1)
-    return t.reshape(node, (-1,)) if np.ndim(t.val(node)) > 1 else node
-
-
 def sample_blocks(rows: int, short_rows: int, short: str) -> int:
     """Number n of k-major sample blocks when ``rows`` = n * ``short_rows``;
     ``short`` names what those rows are rows of, for the error."""
@@ -89,16 +76,29 @@ def _rows(v, t: Tape) -> int:
     return shape[0] if len(shape) == 2 else 0
 
 
+def _reshaped(v, shape, t: Tape):
+    return t.reshape(v, shape) if isinstance(v, NodeId) else np.reshape(v, shape)
+
+
 def _as_blocks(v, rows: int, short: str, t: Tape):
     """A (n·rows, d) node or array viewed as (n, rows, d) sample blocks that
     meet the ``rows`` rows of ``short``."""
     shape = np.shape(t.val(v))
-    blocks = (sample_blocks(shape[0], rows, short), rows, shape[1])
-    return t.reshape(v, blocks) if isinstance(v, NodeId) else np.reshape(v, blocks)
+    return _reshaped(v, (sample_blocks(shape[0], rows, short), rows, shape[1]), t)
+
+
+def _column(v, t: Tape):
+    """``v`` with one trailing column, so a trailing-axis sum keeps each entry."""
+    return _reshaped(v, np.shape(t.val(v)) + (1,), t)
 
 
 def log_prob(dist, value, t: Tape) -> NodeId:
     """Natural-log density, recorded on the tape (differentiable end to end).
+
+    A value of two or more axes is scored per row, summed over its trailing
+    axis.  A 0-d or 1-d value is scored entry by entry: it and every non-scalar
+    parameter gain one trailing column, so each entry is a one-column row,
+    and the result takes their broadcast shape.
 
     The Normal density is one ``normal_log_prob`` node with the trailing-axis
     sum folded in: its forward runs the textbook chain -0.5 ((x - mu) / sd)^2
@@ -107,30 +107,34 @@ def log_prob(dist, value, t: Tape) -> NodeId:
     would.  The Bernoulli density is likewise one ``bernoulli_log_prob``
     node for x l - softplus(l), and the Gamma density one ``gamma_log_prob``
     node for a log r + (a - 1) log x - lgamma(a) - r x.  Exponential is a
-    chain of elementwise nodes.
+    chain of elementwise nodes and a trailing-axis ``sum``.
     """
     p = dist.params
+    shape = None
+    if np.ndim(t.val(value)) < 2:
+        shape = np.broadcast_shapes(*(np.shape(t.val(v)) for v in (value, *p.values())))
+        value = _column(value, t)
+        p = {k: _column(v, t) if np.ndim(t.val(v)) else v for k, v in p.items()}
     v_rows, p_rows = _rows(value, t), max(_rows(v, t) for v in p.values())
     if v_rows > p_rows > 0:
         value = _as_blocks(value, p_rows, "the density's parameters", t)
     elif p_rows > v_rows > 0:
         p = {k: _as_blocks(v, v_rows, "the density's value", t) if _rows(v, t) == p_rows else v
              for k, v in p.items()}
-    reduce = _per_dim(t.val(value))
     if dist.kind == "normal":
-        return t.normal_log_prob(value, p["mean"], p["stddev"], reduce=reduce)
-    if dist.kind == "bernoulli":
+        lp = t.normal_log_prob(value, p["mean"], p["stddev"])
+    elif dist.kind == "bernoulli":
         # x*log sigmoid(l) + (1-x)*log sigmoid(-l) = x*l - softplus(l),
         # since log sigmoid(l) = l - softplus(l): one softplus pass.
-        return t.bernoulli_log_prob(value, p["logits"], reduce=reduce)
-    if dist.kind == "gamma":
+        lp = t.bernoulli_log_prob(value, p["logits"])
+    elif dist.kind == "gamma":
         _check_support("gamma", value, t, lower=0.0, strict=True)
-        return t.gamma_log_prob(value, p["concentration"], p["rate"], reduce=reduce)
-    if dist.kind != "exponential":  # pragma: no cover
-        raise UnsupportedKindError(dist.kind)
-    _check_support("exponential", value, t, lower=0.0)
-    lp = t.sub(t.log(p["rate"]), t.mul(p["rate"], value))
-    return _reduce_last(t, lp, t.val(value))
+        lp = t.gamma_log_prob(value, p["concentration"], p["rate"])
+    else:
+        _check_support("exponential", value, t, lower=0.0)
+        lp = t.sum(t.sub(t.log(p["rate"]), t.mul(p["rate"], value)), axis=-1)
+        lp = t.reshape(lp, (-1,)) if np.ndim(t.val(lp)) > 1 else lp
+    return lp if shape in (None, np.shape(t.val(lp))) else t.reshape(lp, shape)
 
 
 def _check_support(kind, value, t, lower, strict=False):
@@ -147,7 +151,8 @@ def sample_reparam(dist: DistributionSpec, rng: RngStream, t: Tape, n: int = 1) 
     one constant node.  Exponential inverts one uniform.
     Gamma draws by Marsaglia-Tsang rejection (``RngStream.gamma``) and
     differentiates by the implicit CDF rule, exact to ~1e-14 relative (see
-    ``gamma_implicit_grad``).
+    ``gamma_implicit_grad``, called on a grad tape only); ``Tape.gamma_sample``
+    records the draw with those partials.
     """
     if dist.kind not in CONTINUOUS_KINDS:
         raise UnsupportedKindError(f"sample_reparam does not support {dist.kind}")
@@ -163,7 +168,10 @@ def sample_reparam(dist: DistributionSpec, rng: RngStream, t: Tape, n: int = 1) 
     elif dist.kind == "exponential":
         draws = t.div(t.const(rng.exponential(1.0, shape)), p["rate"])
     else:
-        draws = t.gamma_sample(p["concentration"], p["rate"], rng, gamma_implicit_grad, shape)
+        conc, rate = t.val(p["concentration"]), t.val(p["rate"])
+        sample = rng.gamma(conc, rate, shape=shape)
+        partials = gamma_implicit_grad(conc, rate, sample) if t.requires_grad else (None, None)
+        draws = t.gamma_sample(p["concentration"], p["rate"], sample, *partials)
     return t.reshape(draws, (-1,) + base[1:]) if n > 1 and base else draws
 
 

@@ -111,15 +111,12 @@ class SnrReport:
     """Per-parameter |mean| / std over replicate gradients.
 
     Coordinates with zero variance are reported missing (NaN), never as
-    infinities; ``mean_snr`` and the percentiles ignore them.
+    infinities; ``mean_snr`` ignores them.
     """
 
     per_param: dict[str, np.ndarray]
     mean_snr: float
-    p5: float
-    p95: float
     n_missing: int
-    replicates: int
 
 
 def measure_snr(grad_fn, replicates: int, rng: RngStream) -> SnrReport:
@@ -150,10 +147,5 @@ def measure_snr(grad_fn, replicates: int, rng: RngStream) -> SnrReport:
         all_snr.append(snr.reshape(-1))
     flat = np.concatenate(all_snr) if all_snr else np.array([np.nan])
     finite = flat[np.isfinite(flat)]
-    if finite.size:
-        summary = (float(np.mean(finite)), float(np.percentile(finite, 5)),
-                   float(np.percentile(finite, 95)))
-    else:
-        summary = (np.nan, np.nan, np.nan)
-    return SnrReport(per_param=per_param, mean_snr=summary[0], p5=summary[1],
-                     p95=summary[2], n_missing=n_missing, replicates=replicates)
+    mean_snr = float(np.mean(finite)) if finite.size else np.nan
+    return SnrReport(per_param=per_param, mean_snr=mean_snr, n_missing=n_missing)

@@ -219,6 +219,10 @@ class HeadSpec:
     transform: str                # identity | positive
     fallback: np.ndarray | float  # prior parameter the gate blends toward
 
+    def __post_init__(self):
+        if self.transform not in ("identity", "positive"):
+            raise ValueError(f"unknown head transform {self.transform!r}")
+
 
 POSITIVE_FLOOR = 1e-6
 GATE_BIAS_INIT = -5.0
@@ -270,8 +274,6 @@ class MlpCond:
         gate = t.dense(*_affine(t, top, p, "w_gate", "b_gate"), act="sigmoid")   # (rows, 1)
         out = {"gate": gate}
         for spec in self.heads:
-            if spec.transform not in ("identity", "positive"):
-                raise ValueError(f"unknown head transform {spec.transform!r}")
             fb = np.broadcast_to(np.asarray(spec.fallback, dtype=np.float64), (1, spec.dim))
             out[spec.name] = t.gated_head(
                 gate, *_affine(t, top, p, f"w_{spec.name}", f"b_{spec.name}"), fallback=fb,
@@ -431,12 +433,16 @@ def make_discrete_hvm(psi_probs, z_given_psi) -> HierarchicalModel:
     )
 
 
-def make_discrete_tau(model: HierarchicalModel, probs=None, store: ParamStore | None = None,
-                      name: str = "tau.logits") -> AuxiliaryInference:
+DISCRETE_TAU_LOGITS = "tau.logits"
+
+
+def make_discrete_tau(model: HierarchicalModel, probs=None,
+                      store: ParamStore | None = None) -> AuxiliaryInference:
     """Finite tau(psi | z): fixed table or trainable softmax logits.
 
     ``probs`` is a (z_size, psi_size) table of conditionals.  With a store,
-    the table is parameterized by logits and trained via the tape.
+    the table is parameterized by the logits block ``DISCRETE_TAU_LOGITS``
+    and trained via the tape.
     """
     info = model.finite
     if info is None:
@@ -448,7 +454,7 @@ def make_discrete_tau(model: HierarchicalModel, probs=None, store: ParamStore | 
 
     def _log_table(t: Tape):
         if store is not None:
-            node = t.param(store, name)
+            node = t.param(store, DISCRETE_TAU_LOGITS)
             norm = t.reshape(t.logsumexp(node, axis=1), (info.z_size, 1))
             return t.sub(node, norm)
         return t.const(_safe_log(probs))
@@ -465,7 +471,7 @@ def make_discrete_tau(model: HierarchicalModel, probs=None, store: ParamStore | 
         return rng.categorical(table[np.tile(np.asarray(z, dtype=np.int64), k)])
 
     return AuxiliaryInference(log_prob=log_prob, sample=sample,
-                              param_names=(name,) if store is not None else ())
+                              param_names=(DISCRETE_TAU_LOGITS,) if store is not None else ())
 
 
 def posterior_tau(model: HierarchicalModel) -> AuxiliaryInference:

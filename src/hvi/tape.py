@@ -14,8 +14,8 @@ returns the leaves' adjoints alone (activity analysis; Griewank & Walther,
 *Evaluating Derivatives*, 2nd ed., SIAM 2008).
 
 Fused opcodes replace chains of one-op nodes: ``normal_log_prob``,
-``bernoulli_log_prob`` and ``gamma_log_prob`` (densities with their
-trailing-axis sums), ``dense``
+``bernoulli_log_prob`` and ``gamma_log_prob`` (densities, always summed over
+the trailing axis to one value per row), ``dense``
 (one MLP layer: matmul, shift, softplus or sigmoid) and ``gated_head`` (a
 head's affine map, its positive transform and the gate's blend with a
 fallback).  Their forwards and backwards repeat the chain's arithmetic, and
@@ -23,6 +23,9 @@ its accumulation order at every fan-out, so values and adjoints keep their
 bits.  The forwards of ``dense`` (the gate's one column aside),
 ``gated_head`` and ``bernoulli_log_prob`` hold one full-size work buffer
 plus at most one full-size scratch array at a time.
+
+``gamma_sample`` records a Gamma draw it is given, with the pathwise
+partials its backward scales by; the tape itself draws nothing.
 
 Trainable parameters live outside the tape in a :class:`ParamStore` and are
 bound as leaf nodes per pass via :meth:`Tape.param`.
@@ -57,18 +60,12 @@ class OpcodeError(ValueError):
     """Raised for opcodes the tape does not support."""
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class NodeId:
     """Handle to one tape node; valid only for the tape that issued it."""
 
     index: int
-    _value: np.ndarray | None = field(default=None, repr=False)
-
-    def __eq__(self, other):
-        return isinstance(other, NodeId) and other.index == self.index
-
-    def __hash__(self):
-        return hash(self.index)
+    _value: np.ndarray | None = field(default=None, repr=False, compare=False)
 
 
 class ParamStore:
@@ -145,8 +142,8 @@ def _check_positive(op, x):
 
 def _normal_lp_fwd(v, aux):
     # log N(x | mu, sd) = -0.5 ((x - mu) / sd)^2 - (log sd + log(2 pi) / 2),
-    # step by step in one buffer; with ``aux``, summed over the trailing axis
-    # and (n, R) blocks flattened to n*R values.
+    # step by step in one buffer, then summed over the trailing axis and
+    # flattened: (n, R) blocks give n*R values.
     sd, _, x, mu = v
     if not np.all(sd > 0.0):
         if np.any(sd == 0.0):
@@ -157,10 +154,7 @@ def _normal_lp_fwd(v, aux):
     np.multiply(buf, buf, out=buf)
     np.multiply(buf, -0.5, out=buf)
     np.subtract(buf, np.log(sd) + special._HALF_LOG_2PI, out=buf)
-    if not aux:
-        return buf
-    out = np.sum(buf, axis=-1)
-    return out.reshape(-1) if out.ndim > 1 else out
+    return np.sum(buf, axis=-1).reshape(-1)
 
 
 def _normal_lp_bwd(g, v, out, aux, need):
@@ -168,8 +162,7 @@ def _normal_lp_bwd(g, v, out, aux, need):
     # keep its bits: sd gets its log term, then its quotient term.
     sd, _, x, mu = v
     shape = np.broadcast_shapes(x.shape, mu.shape, sd.shape)
-    if aux:
-        g = np.expand_dims(g.reshape(shape[:-1]), -1)
+    g = np.expand_dims(g.reshape(shape[:-1]), -1)
     s = x - mu
     z = np.divide(s, sd, out=np.empty(shape))
     gz = np.multiply(g, -0.5, out=np.empty(shape))
@@ -283,16 +276,12 @@ def _gated_head_bwd(g, v, out, aux, need):
 
 def _bernoulli_lp_fwd(v, aux):
     # x l - softplus(l): softplus(l) in its own buffer, x l in a work buffer
-    # that takes the difference; with ``aux``, summed over the trailing axis
-    # and (n, R) blocks flattened to n*R values.
+    # that takes the difference, then summed and flattened as for Normal.
     l, _, x = v
     sp = special.softplus(l)
     buf = np.multiply(x, l)
     np.subtract(buf, sp, out=buf)
-    if not aux:
-        return buf
-    out = np.sum(buf, axis=-1)
-    return out.reshape(-1) if out.ndim > 1 else out
+    return np.sum(buf, axis=-1).reshape(-1)
 
 
 def _bernoulli_lp_bwd(g, v, out, aux, need):
@@ -300,9 +289,7 @@ def _bernoulli_lp_bwd(g, v, out, aux, need):
     # the product's (inputs (l, l, x)).
     l, _, x = v
     shape = np.broadcast_shapes(x.shape, l.shape)
-    if aux:
-        g = np.expand_dims(g.reshape(shape[:-1]), -1)
-    g = np.broadcast_to(g, shape)
+    g = np.broadcast_to(np.expand_dims(g.reshape(shape[:-1]), -1), shape)
     d_sp = d_mul = d_x = None
     if need[0]:
         d_sp = _unbroadcast(np.negative(g), l.shape) * special.sigmoid(l)
@@ -315,8 +302,7 @@ def _bernoulli_lp_bwd(g, v, out, aux, need):
 def _gamma_lp_fwd(v, aux, grad):
     # log Gamma(x | a, r) = (a log r + (a - 1) log x) - (lgamma(a) + r x),
     # the chain's operations in a work buffer and one scratch array; a grad
-    # tape keeps log x.  With ``aux``, summed over the trailing axis and
-    # (n, R) blocks flattened to n*R values.
+    # tape keeps log x.  Summed and flattened as for Normal.
     a, _, _, r, _, x, _ = v
     _check_positive("log", r)
     log_r = np.log(r)
@@ -329,11 +315,7 @@ def _gamma_lp_fwd(v, aux, grad):
     tmp = np.multiply(r, x, out=np.empty(buf.shape))
     np.add(special.lgamma(a), tmp, out=tmp)
     np.subtract(buf, tmp, out=buf)
-    kept = log_x if grad else None
-    if not aux:
-        return buf, kept
-    out = np.sum(buf, axis=-1)
-    return (out.reshape(-1) if out.ndim > 1 else out), kept
+    return np.sum(buf, axis=-1).reshape(-1), (log_x if grad else None)
 
 
 def _gamma_lp_bwd(g, v, out, aux, need):
@@ -341,10 +323,9 @@ def _gamma_lp_bwd(g, v, out, aux, need):
     # lgamma, (a - 1) log x and a log r terms, r its r x and log r terms and
     # x its r x and log x terms, each in the order the chain adds them.
     a, _, _, r, _, x, _ = v
-    reduce, log_x = aux
+    _, log_x = aux
     shape = np.broadcast_shapes(a.shape, r.shape, x.shape)
-    if reduce:
-        g = np.broadcast_to(np.expand_dims(g.reshape(shape[:-1]), -1), shape).copy()
+    g = np.broadcast_to(np.expand_dims(g.reshape(shape[:-1]), -1), shape).copy()
     neg = -g
     d_lg = d_am1 = d_log_r = d_rx_r = d_div_r = d_rx_x = d_log_x = None
     if need[0] or need[3]:
@@ -457,7 +438,7 @@ def _register_ops():
     _op("slice_rows")((lambda v, aux: v[0][aux[0]:aux[1]], _slice_rows_bwd))
     # Never reached backward: a stop_gradient node has no ``needs`` bit.
     _op("stop_gradient")((lambda v, aux: v[0], None))
-    # aux = (sample, d_conc, d_rate): partials cached at sample time.
+    # aux = (sample, d_conc, d_rate): the draw and its pathwise partials.
     _op("gamma_sample")((lambda v, aux: aux[0],
                          lambda g, v, out, aux, need: [
                              _unbroadcast(g * aux[1], v[0].shape) if need[0] else None,
@@ -637,12 +618,11 @@ class Tape:
     def stop_gradient(self, a):
         return self.record("stop_gradient", (self._lift(a),))
 
-    def normal_log_prob(self, value, mean, stddev, reduce: bool):
-        """log N(value | mean, stddev), elementwise; with ``reduce``, summed
-        over the trailing axis and flattened to 1-d.  One node."""
+    def normal_log_prob(self, value, mean, stddev):
+        """log N(value | mean, stddev) summed over the trailing axis and
+        flattened to 1-d.  One node."""
         sd = self._lift(stddev)
-        return self.record("normal_log_prob", (sd, sd, self._lift(value), self._lift(mean)),
-                           aux=bool(reduce))
+        return self.record("normal_log_prob", (sd, sd, self._lift(value), self._lift(mean)))
 
     def dense(self, a, weight, shift, rows=None, act=None):
         """act(a @ weight[lo:hi] + shift), one node; ``rows`` = (lo, hi)
@@ -665,36 +645,25 @@ class Tape:
         return self.record("gated_head", inputs,
                            aux=(rows, floor, np.asarray(fallback, dtype=np.float64)))
 
-    def bernoulli_log_prob(self, value, logits, reduce: bool):
+    def bernoulli_log_prob(self, value, logits):
         """log Bernoulli(value | logits) = value * logits - softplus(logits),
-        elementwise; with ``reduce``, summed over the trailing axis and
-        flattened to 1-d.  One node."""
+        summed over the trailing axis and flattened to 1-d.  One node."""
         l = self._lift(logits)
-        return self.record("bernoulli_log_prob", (l, l, self._lift(value)), aux=bool(reduce))
+        return self.record("bernoulli_log_prob", (l, l, self._lift(value)))
 
-    def gamma_log_prob(self, value, concentration, rate, reduce: bool):
+    def gamma_log_prob(self, value, concentration, rate):
         """log Gamma(value | concentration, rate) = a log r + (a - 1) log x
-        - lgamma(a) - r x, elementwise; with ``reduce``, summed over the
-        trailing axis and flattened to 1-d.  One node."""
+        - lgamma(a) - r x, summed over the trailing axis and flattened to
+        1-d.  One node."""
         a, r, x = self._lift(concentration), self._lift(rate), self._lift(value)
-        return self.record("gamma_log_prob", (a, a, a, r, r, x, x), aux=bool(reduce))
+        return self.record("gamma_log_prob", (a, a, a, r, r, x, x))
 
-    def gamma_sample(self, conc, rate, rng, implicit_grad, shape) -> NodeId:
-        """Draw Gamma(conc, rate) with cached implicit-reparameterization partials.
-
-        ``implicit_grad(conc, rate, sample) -> (d/dconc, d/drate)`` supplies the
-        pathwise derivatives; sampling itself is forward-only numpy.  ``shape``
-        may lead with sample blocks; ``implicit_grad`` gets the parameters as given.
-        """
-        conc = self._lift(conc)
-        rate = self._lift(rate)
-        cv, rv = self.val(conc), self.val(rate)
-        sample = rng.gamma(cv, rv, shape=shape)
-        if self.requires_grad:
-            dca, dra = implicit_grad(cv, rv, sample)
-        else:
-            dca = dra = None
-        return self.record("gamma_sample", (conc, rate), aux=(sample, dca, dra))
+    def gamma_sample(self, conc, rate, sample, d_conc, d_rate) -> NodeId:
+        """Record ``sample``, a Gamma(conc, rate) draw made by the caller, as
+        a node whose adjoints scale by the given pathwise partials d_conc and
+        d_rate (implicit reparameterization; None on a no-grad tape)."""
+        return self.record("gamma_sample", (self._lift(conc), self._lift(rate)),
+                           aux=(sample, d_conc, d_rate))
 
     # -- reverse pass ----------------------------------------------------------
 

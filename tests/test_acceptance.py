@@ -249,7 +249,7 @@ def test_criterion_05_gradient_correctness():
     dm = make_discrete_hvm([0.4, 0.6], [[0.7, 0.3], [0.1, 0.9]])
     dstore = ParamStore()
     dstore.add("tau.logits", np.array([[0.3, -0.2], [0.1, 0.4]]))
-    dtau = make_discrete_tau(dm, store=dstore, name="tau.logits")
+    dtau = make_discrete_tau(dm, store=dstore)
     t = Tape()
     node = oracle.exact_expected_bound(dm, dtau, 1, 2, "U", t=t)
     got = t.param_grads(t.backward(node))["tau.logits"]

@@ -383,6 +383,41 @@ class TestFusedGamma:
         assert raised[0] == raised[1] == ("lgamma" if bad == "concentration" else "log", 0.0)
 
 
+class TestEntryByEntry:
+    """A 0-d or 1-d value is scored entry by entry, as the same entries in
+    (n, 1) rows would be: the same bits in values and in every leaf adjoint."""
+
+    N = 5
+
+    def _run(self, kind, v_shape, p_shape, rows):
+        family, n_params = BLOCK_FAMILIES[kind]
+        g = np.random.default_rng(43)
+        params = [g.uniform(0.3, 2.5, p_shape) for _ in range(n_params)]
+        value = g.uniform(0.05, 0.95, v_shape)
+        t = Tape()
+        ps, v = [t.leaf(p) for p in params], t.leaf(value)
+        used_ps, used_v = ps, v
+        if rows:
+            used_ps = [t.reshape(p, (-1, 1)) if p_shape else p for p in ps]
+            used_v = t.reshape(v, (-1, 1))
+        out = dists.log_prob(family(*used_ps), used_v, t)
+        shape = np.broadcast_shapes(v_shape, p_shape)
+        if rows:
+            out = t.reshape(out, shape)
+        grads = t.backward(t.sum(t.mul(out, g.standard_normal(shape))))
+        return t.val(out), [grads[leaf] for leaf in ps + [v]]
+
+    @pytest.mark.parametrize("kind", sorted(BLOCK_FAMILIES))
+    @pytest.mark.parametrize("v_shape,p_shape", [((N,), (N,)), ((N,), ()), ((), (N,)), ((), ())])
+    def test_entries_score_as_one_column_rows(self, kind, v_shape, p_shape):
+        got, got_grads = self._run(kind, v_shape, p_shape, rows=False)
+        want, want_grads = self._run(kind, v_shape, p_shape, rows=True)
+        assert got.shape == want.shape == np.broadcast_shapes(v_shape, p_shape)
+        assert got.tobytes() == want.tobytes()
+        for a, b in zip(got_grads, want_grads):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 class TestSampling:
     def test_normal_location_scale_partials(self):
         t = Tape()
@@ -401,6 +436,31 @@ class TestSampling:
         val = float(t.val(s))
         g = float(t.backward(s)[NodeId(rate.index)])
         assert g == pytest.approx(-val / 2.0, rel=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_gamma_draw_and_partials_match_a_twin_stream(self, n):
+        g = np.random.default_rng(47)
+        conc, rate = g.uniform(0.3, 3.0, (4, 2)), g.uniform(0.5, 2.0, (4, 2))
+        t, rng, twin = Tape(), RngStream(53), RngStream(53)
+        draws = dists.sample_reparam(dists.gamma(t.leaf(conc), t.leaf(rate)), rng, t, n=n)
+        want = twin.gamma(conc, rate, shape=(n, 4, 2) if n > 1 else (4, 2))
+        want_conc, want_rate = dists.gamma_implicit_grad(conc, rate, want)
+        sample, d_conc, d_rate = t._aux[t._ops.index("gamma_sample")]
+        assert sample.tobytes() == want.tobytes()
+        assert d_conc.tobytes() == want_conc.tobytes() and d_rate.tobytes() == want_rate.tobytes()
+        assert rng.uniforms_consumed == twin.uniforms_consumed
+        assert t.val(draws).tobytes() == want.reshape(-1, 2).tobytes()
+
+    def test_no_grad_gamma_draw_skips_the_implicit_gradient(self, monkeypatch):
+        calls = []
+        implicit_grad = dists.gamma_implicit_grad
+        monkeypatch.setattr(dists, "gamma_implicit_grad",
+                            lambda *args: calls.append(1) or implicit_grad(*args))
+        dist = dists.gamma(np.full(3, 0.8), np.full(3, 1.5))
+        dists.sample_reparam(dist, RngStream(59), Tape(requires_grad=False))
+        assert calls == []
+        dists.sample_reparam(dist, RngStream(59), Tape())
+        assert calls == [1]
 
     def test_discrete_kinds_unsupported(self):
         with pytest.raises(UnsupportedKindError):

@@ -58,7 +58,7 @@ class TestGradAutodiff:
         for model, logits, K, z, atol in cases:
             store = ParamStore()
             store.add("tau.logits", np.array(logits))
-            tau = make_discrete_tau(model, store=store, name="tau.logits")
+            tau = make_discrete_tau(model, store=store)
             shape = store["tau.logits"].shape
 
             t = Tape()

@@ -246,6 +246,12 @@ class TestMlpCond:
         tv = np.sqrt(np.maximum(kl, 0) / 2.0)
         assert np.all(tv < 0.02)
 
+    def test_unknown_head_transform_raises_before_any_block_is_added(self):
+        store = ParamStore()
+        with pytest.raises(ValueError, match="unknown head transform 'exp'"):
+            init_mlp_cond(store, "net", 4, (16,), (HeadSpec("m", 2, "exp", 0.0),), RngStream(0))
+        assert store.names() == []
+
     def test_outputs_finite_and_positive_for_wide_inputs(self):
         store = ParamStore()
         mlp = init_mlp_cond(store, "net", 8, (32, 32),

@@ -57,6 +57,11 @@ class TestRecord:
             t.record("const", ())
         assert float(t.val(t.record("add", (a, b)))) == 3.0
 
+    def test_node_ids_compare_and_hash_by_index_alone(self):
+        held = NodeId(2, np.ones(3))
+        assert held == NodeId(2) and hash(held) == hash(NodeId(2)) and held != NodeId(3)
+        assert {NodeId(2): "x"}[held] == "x"
+
     def test_ids_topologically_ordered(self):
         t = Tape()
         a = t.leaf(1.0)
