@@ -6,7 +6,10 @@ density ratios span tens of nats and linear space would overflow.  Layout
 convention (see ``models``): nothing is tiled; x keeps its B rows, z its R
 rows, and k draws per row of z stack k-major into k·R rows that meet them
 by broadcasting, so a flat (k*R,) log-weight vector reshapes to (k, R) and
-reduces over axis 0.
+reduces over axis 0.  On a no-grad tape the tall per-row densities (log
+q(z | psi) and log p(x | z)) run in consecutive row slices of whole blocks,
+R rows of draws against z or B rows of z against x (``_row_blocks``), and
+their values are joined in order; a grad tape makes one call.
 
 The joint-sample index psi_0 always occupies slot 0 and is drawn from the
 model joint (or its exact posterior when one exists), never from tau; the
@@ -70,6 +73,42 @@ def effective_sample_size(log_weights: np.ndarray) -> float:
     return float(np.nanmean(ess))
 
 
+# Row budgets of one slice of a no-grad per-row density (``_row_blocks``).
+# At the mini VAE's widths, 2048 rows of log q(z | psi) make 1 MB per 64-wide
+# hidden array and 256 rows of log p(x | z) 1.6 MB per 784-wide logit array,
+# so the allocator reuses a slice's temporaries for the next slice instead of
+# mapping, faulting in and returning full-size arrays on every chunk.
+COND_ROWS = 2048
+LIK_ROWS = 256
+
+
+def _row_blocks(density, args, block: int, budget: int, t: Tape):
+    """``density(*args, t)``, one value per row of the tallest of ``args``.
+
+    On a no-grad tape the args of the tallest row count are cut into
+    consecutive row slices, each a whole number of ``block`` rows (the rows
+    they broadcast against): as many as fit in ``budget`` rows, at least one.
+    Shorter args pass whole, and the slices' values are joined in order.
+    Each row's arithmetic does not depend on the rows beside it, so the bits
+    are those of one call.  A grad tape makes one call: it keeps every
+    intermediate for backward anyway.
+    """
+    if t.requires_grad:
+        return density(*args, t)
+    rows = max(n_rows(a, t) for a in args)
+    step = max(1, budget // block) * block
+    if rows <= step:
+        return density(*args, t)
+
+    def cut(a, lo, hi):
+        if n_rows(a, t) != rows:
+            return a
+        return t.slice_rows(a, lo, hi) if isinstance(a, NodeId) else a[lo:hi]
+
+    return cat_rows([density(*(cut(a, lo, min(lo + step, rows)) for a in args), t)
+                     for lo in range(0, rows, step)], t)
+
+
 def _finish(t: Tape, node, log_weights, per_x, diagnostics=None) -> Estimate:
     """Estimate of scalar ``node`` from its (m, rows) log-weight and per-row nodes."""
     lw = np.asarray(t.val(log_weights))
@@ -104,7 +143,7 @@ def _iw_average(model: HierarchicalModel, aux: AuxiliaryInference, z, x, n: int,
         psis = with_first(first, model.sample_psi(x, n * rows, rng, t) if n > 0 else None, t)
     else:
         psis, laux = aux.sample_and_score(z, x, n, first, rng, t)
-    lw = model.log_z_given_psi(z, psis, x, t)
+    lw = _row_blocks(model.log_z_given_psi, (z, psis, x), rows, COND_ROWS, t)
     if aux.prior_of is not model:
         inner = t.sub(model.log_psi_prior(psis, x, t), laux)
         if w_inner != 1.0:
@@ -182,7 +221,7 @@ def diwhvi_elbo(gen: Generative, q: HierarchicalModel, tau: AuxiliaryInference,
     B = x.shape[0]
     psi0, z = sample_joint(q, x, rng, t, rows=M * B)
     den, lw_mat = _iw_average(q, tau, z, x, K, rng, t, first=psi0, w_inner=w_inner)
-    lik = gen.log_lik(x, z, t)
+    lik = _row_blocks(gen.log_lik, (x, z), B, LIK_ROWS, t)
     pterm = _prior_term(gen.prior, rho, z, x, L, rng, t)
     gap = t.sub(pterm, den)
     if w_outer != 1.0:
@@ -223,10 +262,12 @@ def sivi_reused(gen: Generative, q: HierarchicalModel, x, M: int, K: int,
     B = x.shape[0]
     psi0, z = sample_joint(q, x, rng, t, rows=M * B)
     pool = [q.sample_psi(x, B, rng, t) for _ in range(K)]   # K draws of (B, .)
-    lcond = cat_rows([q.log_z_given_psi(z, psi, x, t) for psi in [psi0] + pool], t)
+    lcond = cat_rows([_row_blocks(q.log_z_given_psi, (z, psi, x), B, COND_ROWS, t)
+                      for psi in [psi0] + pool], t)
     lw_mat = t.reshape(lcond, (K + 1, M * B))
     den = t.logmeanexp(lw_mat, axis=0)
-    ratio = t.add(gen.log_lik(x, z, t), t.sub(gen.prior.log_prob(z, t), den))
+    lik = _row_blocks(gen.log_lik, (x, z), B, LIK_ROWS, t)
+    ratio = t.add(lik, t.sub(gen.prior.log_prob(z, t), den))
     r_mat = t.reshape(ratio, (M, B))
     per_x = t.logmeanexp(r_mat, axis=0)
     return _finish(t, t.mean(per_x), r_mat if M > 1 else lw_mat, per_x,

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 
+from .bounds import EVAL_VARIANTS
+
 
 class ConfigError(ValueError):
     """Invalid configuration; the CLI maps this to exit code 2."""
@@ -76,6 +78,10 @@ class ExperimentConfig:
             raise ConfigError(f"unknown estimator {self.estimator!r}")
         if self.binarization not in ("dynamic", "fixed"):
             raise ConfigError(f"unknown binarization {self.binarization!r}")
+        unknown = [v for v in self.variants if v not in EVAL_VARIANTS]
+        if unknown:
+            raise ConfigError(f"unknown variants {', '.join(map(repr, unknown))}; "
+                              f"choose from {', '.join(EVAL_VARIANTS)}")
         if self.k_schedule:
             starts = [e for e, _ in self.k_schedule]
             if starts != sorted(set(starts)):
@@ -83,7 +89,8 @@ class ExperimentConfig:
             if any(k < 0 for _, k in self.k_schedule):
                 raise ConfigError("k_schedule K values must be >= 0")
         for name in ("replicates", "steps", "batch_size", "epochs", "eval_runs", "eval_every",
-                     "eval_draws", "final_eval_draws", "eval_images", "dim", "z_dim", "psi_dim"):
+                     "eval_draws", "final_eval_draws", "eval_images", "dim", "z_dim", "psi_dim",
+                     "lr_anneal_period"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
         if not 0 <= self.val_fraction < 1:

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from hvi import dists, oracle, special
+from hvi import bounds, dists, oracle, special
 from hvi.bounds import (BoundConfig, diwhvi_elbo, eval_variants,
                         effective_sample_size, expected_kl_tau_prior, iwhvi_elbo,
                         jackknife_U, kl_lower_bound, kl_upper_bound, lower_bound_L,
@@ -15,8 +15,9 @@ from hvi.bounds import (BoundConfig, diwhvi_elbo, eval_variants,
                         upper_bound_U, upper_bound_U_joint)
 from hvi.models import (AuxiliaryInference, ExplicitPrior, Generative,
                         HierarchicalModel, HierarchicalPrior, MlpCond, UnsupportedModelError,
-                        log_joint, make_discrete_hvm, make_gamma_mlp_tau, make_laplace_scale_mixture,
-                        make_mini_vae, n_rows, posterior_tau, prior_tau, sample_joint)
+                        log_joint, make_discrete_hvm, make_discrete_tau, make_gamma_mlp_tau,
+                        make_laplace_scale_mixture, make_mini_vae, n_rows, posterior_tau,
+                        prior_tau, sample_joint)
 from hvi.rng import RngStream
 from hvi.tape import ParamStore, Tape
 
@@ -378,23 +379,107 @@ class TestMiniVaeCosts:
         assert len(t) <= 110
 
     def test_diwhvi_eval_chunk_peak_memory(self):
-        # One evaluate_vae_bound chunk: 8 images, M = 100, K = 16, so the
-        # encoder runs on 13,600 rows of 64 hidden units (7.0 MB per array).
+        # One evaluate_vae_bound chunk: 8 images, M = 100, so log q(z | psi)
+        # scores (K + 1) 800 rows.  It runs in slices of 1,600 rows (0.8 MB
+        # per 64-wide hidden array) and log p(x | z) in slices of 256 rows
+        # (1.6 MB per 784-wide logit array), so the peak does not grow with K.
         vae, x = self._vae_and_images(8)
+        for variant, K in itertools.product(("DIWHVI_EVAL", "SIVI_LIKE"), (0, 16)):
+            def chunk(seed):
+                return eval_variants(vae.gen, vae.q, vae.tau, x, 100, K, variant,
+                                     RngStream(seed), Tape(requires_grad=False))
 
-        def chunk(seed):
-            return eval_variants(vae.gen, vae.q, vae.tau, x, 100, 16, "DIWHVI_EVAL",
-                                 RngStream(seed), Tape(requires_grad=False))
+            chunk(1)                                                 # warm-up
+            tracemalloc.start()
+            try:
+                est = chunk(2)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert np.isfinite(est.value)
+            assert peak <= 6 * 2**20, (variant, K, peak)
 
-        chunk(1)                                                     # warm-up
-        tracemalloc.start()
-        try:
-            est = chunk(2)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert np.isfinite(est.value)
-        assert peak <= 24 * 2**20
+
+class TestRowBlocks:
+    """No-grad per-row densities run in row slices with the bits of one call.
+
+    Each case runs at the module's row budgets (or the ``small`` ones), then
+    with budgets no density reaches, which makes one call per density.
+    M = 100 replicas of 8 images give 800 rows of z, so the 1,600-row slices
+    of log q(z | psi) and the 256-row slices of log p(x | z) end in a partial
+    slice.  Densities are counted through ``counted`` (owner, attribute)
+    pairs, so a case in which nothing was sliced fails.
+    """
+
+    @staticmethod
+    def _assert_blocked_bits(monkeypatch, run, counted, small=None):
+        calls = []
+        for owner, name in counted:
+            fn = getattr(owner, name)
+            monkeypatch.setattr(owner, name,
+                                lambda *a, fn=fn: calls.append(1) or fn(*a))
+        runs = []
+        for cond, lik in (small or (bounds.COND_ROWS, bounds.LIK_ROWS), (10**9, 10**9)):
+            monkeypatch.setattr(bounds, "COND_ROWS", cond)
+            monkeypatch.setattr(bounds, "LIK_ROWS", lik)
+            calls.clear()
+            runs.append((run(), len(calls)))
+        (blocked, n_blocked), (single, n_single) = runs
+        assert n_blocked > n_single
+        assert blocked.per_x.tobytes() == single.per_x.tobytes()
+        assert blocked.log_weights.tobytes() == single.log_weights.tobytes()
+
+    @pytest.mark.parametrize("small", [None, (296, 96)], ids=["module", "small"])
+    @pytest.mark.parametrize("K", [0, 4, 16])
+    @pytest.mark.parametrize("variant", ["DIWHVI_EVAL", "SIVI_LIKE", "SIVI_EQUICOMP"])
+    def test_mini_vae_eval_chunk(self, monkeypatch, variant, K, small):
+        vae, x = TestMiniVaeCosts._vae_and_images(8)
+        self._assert_blocked_bits(
+            monkeypatch,
+            lambda: eval_variants(vae.gen, vae.q, vae.tau, x, 100, K, variant,
+                                  RngStream(5), Tape(requires_grad=False)),
+            [(vae.q, "log_z_given_psi"), (vae.gen, "log_lik")], small)
+
+    @pytest.mark.parametrize("sivi", [False, True], ids=["gamma_tau", "sivi"])
+    def test_toy_driver_eval_shape(self, monkeypatch, sivi):
+        # run_toy_laplace's final eval point: 2048 draws of the 50-d model, K = 10.
+        model = make_laplace_scale_mixture(50)
+        tau = (prior_tau(model) if sivi else
+               make_gamma_mlp_tau(50, (128, 128, 128), ParamStore(), RngStream(1)))
+        self._assert_blocked_bits(
+            monkeypatch,
+            lambda: upper_bound_U_joint(model, tau, np.zeros((2048, 0)), 10, RngStream(6),
+                                        Tape(requires_grad=False)),
+            [(model, "log_z_given_psi")])
+
+    def test_discrete_two_point_codes(self, monkeypatch):
+        # int code arrays: 30 images, M = 50, so 1,500 rows of z; K = 3.
+        gen = discrete_gen([0.3, 0.6], [0.5, 0.5])
+        self._assert_blocked_bits(
+            monkeypatch,
+            lambda: diwhvi_elbo(gen, TWO_POINT, posterior_tau(TWO_POINT), None,
+                                np.zeros((30, 0)), BoundConfig(M=50, K=3), RngStream(7),
+                                Tape(requires_grad=False)),
+            [(TWO_POINT, "log_z_given_psi"), (gen, "log_lik")])
+
+    def test_discrete_upper_bound_partial_slice(self, monkeypatch):
+        # 17 blocks of 300 rows against a 2048-row budget: 1,800 + 1,800 + 1,500.
+        tau = make_discrete_tau(TWO_POINT, probs=[[0.6, 0.4], [0.3, 0.7]])
+        z = RngStream(8).categorical(np.broadcast_to([0.5, 0.5], (300, 2)))
+        self._assert_blocked_bits(
+            monkeypatch,
+            lambda: upper_bound_U(TWO_POINT, tau, z, np.zeros((300, 0)), 16, RngStream(9),
+                                  Tape(requires_grad=False)),
+            [(TWO_POINT, "log_z_given_psi")])
+
+    def test_grad_tape_makes_one_call(self, monkeypatch):
+        vae, x = TestMiniVaeCosts._vae_and_images(8)
+        calls = []
+        fn = vae.gen.log_lik
+        monkeypatch.setattr(vae.gen, "log_lik", lambda *a: calls.append(1) or fn(*a))
+        diwhvi_elbo(vae.gen, vae.q, vae.tau, None, x, BoundConfig(M=100, K=2), RngStream(1),
+                    Tape())
+        assert len(calls) == 1
 
 
 class TestKlBounds:

@@ -56,6 +56,12 @@ class TestConfig:
         with pytest.raises(ConfigError, match=key):
             load_config(None, overrides={"experiment": "toy-laplace", key: raw})
 
+    def test_lr_anneal_period_zero_rejected(self):
+        # Period 0 with annealing on used to pass and divide by zero in lr_at_epoch(0).
+        with pytest.raises(ConfigError, match="lr_anneal_period"):
+            load_config(None, overrides={"experiment": "vae-train", "lr_anneal_factor": "0.5",
+                                         "lr_anneal_period": "0"})
+
     def test_k_at_epoch(self):
         cfg = ExperimentConfig(experiment="vae-train", k_schedule=[(0, 0), (10, 2), (25, 5)])
         assert [cfg.k_at_epoch(e) for e in (0, 9, 10, 24, 25, 99)] == [0, 0, 2, 2, 5, 5]
@@ -199,6 +205,16 @@ class TestCliSurface:
                         "--out", str(tmp_path / "e.csv")])
         assert code == 3
         assert "meta.arch" in capsys.readouterr().err
+
+    def test_unknown_variant_exits_before_any_work(self, tmp_path, capsys):
+        # Used to run the whole DIWHVI_EVAL sweep, then die in eval_variants.
+        p = tmp_path / "c.cfg"
+        p.write_text("variants = DIWHVI_EVAL, SIVI_LIKES\n")
+        out = tmp_path / "e.csv"
+        assert run_cli(["vae-eval", "--config", str(p), "--out", str(out),
+                        "--data-path", str(tmp_path / "missing")]) == 2
+        assert "'SIVI_LIKES'" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("key", ["input_dim", "beta1", "beta2"])
     def test_removed_keys_are_unknown(self, tmp_path, capsys, key):
