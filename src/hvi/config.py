@@ -7,6 +7,7 @@ uses epoch:K pairs ("0:0,10:2,25:5").
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
 
 from .bounds import EVAL_VARIANTS
@@ -93,6 +94,13 @@ class ExperimentConfig:
                      "lr_anneal_period"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
+        if self.experiment == "snr" and self.replicates < 2:
+            raise ConfigError("replicates must be >= 2 for snr: an SNR needs a spread")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ConfigError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
+        if not (math.isfinite(self.lr_anneal_factor) and self.lr_anneal_factor >= 0):
+            raise ConfigError(f"lr_anneal_factor must be finite and >= 0, "
+                              f"got {self.lr_anneal_factor}")
         if not 0 <= self.val_fraction < 1:
             raise ConfigError("val_fraction must lie in [0, 1)")
 

@@ -144,11 +144,15 @@ def _check_support(kind, value, t, lower, strict=False):
         raise ValueError(f"{kind} log_prob: value outside support ({float(np.min(v))})")
 
 
-def sample_reparam(dist: DistributionSpec, rng: RngStream, t: Tape, n: int = 1) -> NodeId:
-    """Pathwise-differentiable draw of ``n`` k-major blocks of the param shape.
+def sample_reparam(dist: DistributionSpec, rng: RngStream, t: Tape, n: int = 1,
+                   first=None) -> NodeId:
+    """Pathwise-differentiable draw of ``n`` k-major blocks of the param shape,
+    stacked after the rows of ``first`` when it is given.
 
-    Normal is location-scale; a plain-array stddev is folded into the noise as
-    one constant node.  Exponential inverts one uniform.
+    Normal is location-scale.  With a plain-array stddev the draws are one
+    ``located_draws`` node: the noise is drawn straight into the rows after
+    first's and shifted by the mean there, so the stack is the only copy.
+    Exponential inverts one uniform.
     Gamma draws by Marsaglia-Tsang rejection (``RngStream.gamma``) and
     differentiates by the implicit CDF rule, exact to ~1e-14 relative (see
     ``gamma_implicit_grad``, called on a grad tape only); ``Tape.gamma_sample``
@@ -159,12 +163,15 @@ def sample_reparam(dist: DistributionSpec, rng: RngStream, t: Tape, n: int = 1) 
     p = dist.params
     base = np.broadcast_shapes(*(np.asarray(t.val(v)).shape for v in p.values()))
     shape = (n,) + base if n > 1 else base
+    flat = (n * base[0],) + base[1:] if n > 1 and base else shape   # k-major rows
+    if dist.kind == "normal" and not isinstance(p["stddev"], NodeId):
+        head = 0 if first is None else np.shape(t.val(first))[0]
+        buf = np.empty(flat if first is None else (head + flat[0],) + flat[1:])
+        noise = rng.normal(shape, out=(buf[head:] if head else buf).reshape(shape))
+        np.multiply(noise, p["stddev"], out=noise)
+        return t.located_draws(p["mean"], buf, shape, first)
     if dist.kind == "normal":
-        eps = rng.normal(shape)
-        if not isinstance(p["stddev"], NodeId):
-            draws = t.add(p["mean"], t.const(p["stddev"] * eps))
-        else:
-            draws = t.add(p["mean"], t.mul(p["stddev"], eps))
+        draws = t.add(p["mean"], t.mul(p["stddev"], rng.normal(shape)))
     elif dist.kind == "exponential":
         draws = t.div(t.const(rng.exponential(1.0, shape)), p["rate"])
     else:
@@ -172,7 +179,8 @@ def sample_reparam(dist: DistributionSpec, rng: RngStream, t: Tape, n: int = 1) 
         sample = rng.gamma(conc, rate, shape=shape)
         partials = gamma_implicit_grad(conc, rate, sample) if t.requires_grad else (None, None)
         draws = t.gamma_sample(p["concentration"], p["rate"], sample, *partials)
-    return t.reshape(draws, (-1,) + base[1:]) if n > 1 and base else draws
+    draws = t.reshape(draws, flat) if flat != shape else draws
+    return draws if first is None else t.concat([first, draws])
 
 
 def gamma_implicit_grad(concentration, rate, sample):

@@ -157,7 +157,7 @@ def conditional_tau(params: Callable, family: Callable, param_names: tuple) -> A
 
     def sample_and_score(z, x, k, first, rng, t):
         spec = family(*params(z, x, t))
-        psis = with_first(first, dists.sample_reparam(spec, rng, t, n=k) if k > 0 else None, t)
+        psis = dists.sample_reparam(spec, rng, t, n=k, first=first) if k > 0 else first
         return psis, dists.log_prob(spec, psis, t)
 
     return AuxiliaryInference(log_prob=log_prob, param_names=param_names,

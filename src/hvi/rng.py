@@ -16,8 +16,9 @@ draw's size, with the same arithmetic, in the same order, as the textbook
 expressions:
 
 * ``uniform``      -- a fresh array, or the caller's ``out``
-* ``normal``       -- its two uniform buffers: log, x(-2), sqrt in the first;
-                      x(2 pi), cos in the second; the product lands in the first
+* ``normal``       -- its two uniform buffers: log, x(-2), sqrt in the first
+                      (the caller's ``out``, if given); x(2 pi), cos in the
+                      second; the product lands in the first
 * ``exponential``  -- the uniform's own buffer
 * ``gamma``        -- d and c on the concentration's own shape, broadcast over
                       the sample blocks; each round uses the normal x, v and
@@ -78,9 +79,10 @@ class RngStream:
 
     # -- samplers -----------------------------------------------------------
 
-    def normal(self, shape=()) -> np.ndarray:
-        """Standard normals via Box-Muller; 2 uniforms per element."""
-        u1 = self._open_uniform(shape)
+    def normal(self, shape=(), out=None) -> np.ndarray:
+        """Standard normals via Box-Muller; 2 uniforms per element.  With
+        ``out`` (a float64 buffer of shape ``shape``) they land there."""
+        u1 = self._open_uniform(shape, out)
         u2 = self.uniform(shape)
         np.log(u1, out=u1)
         np.multiply(-2.0, u1, out=u1)

@@ -26,6 +26,20 @@ plus at most one full-size scratch array at a time.
 
 ``gamma_sample`` records a Gamma draw it is given, with the pathwise
 partials its backward scales by; the tape itself draws nothing.
+``located_draws`` records a location family's draws, [first; noise + mean],
+in the buffer its caller drew the noise into, so the draws and their stack
+after ψ_0 are one array.
+
+Adjoint memory.  Each opcode declares what its backward hands over
+(``_HANDS``): arrays it allocated itself, or views of its own parts of the
+incoming adjoint.  ``backward`` owns such an array, or the first sum it
+forms, and adds a node's later adjoints into it in place; a view is owned
+only while the adjoint it views is.  Anything else, such as the g that
+``add`` passes to both inputs, is never written, nor is a tape value or an
+array a caller passed in.  Without a scale adjoint, the Normal density's
+backward works in one full-size buffer, which becomes the value's (or the
+mean's, negated in place) adjoint; a mean broadcast over sample blocks gets
+the negated block sum, with no second full-size array.
 
 Trainable parameters live outside the tape in a :class:`ParamStore` and are
 bound as leaf nodes per pass via :meth:`Tape.param`.
@@ -159,26 +173,83 @@ def _normal_lp_fwd(v, aux):
 
 def _normal_lp_bwd(g, v, out, aux, need):
     # The unfused chain's reverse pass, operation for operation, so adjoints
-    # keep its bits: sd gets its log term, then its quotient term.
+    # keep its bits: sd gets its log term, then its quotient term.  Without
+    # a scale adjoint, z = (x - mu) / sd takes the square's adjoint in its
+    # own buffer, which then becomes s's: one full-size array in all.
     sd, _, x, mu = v
     shape = np.broadcast_shapes(x.shape, mu.shape, sd.shape)
+    s_shape = np.broadcast_shapes(x.shape, mu.shape)
     g = np.expand_dims(g.reshape(shape[:-1]), -1)
+    if not need[0]:
+        gz = np.subtract(x, mu, out=np.empty(shape))
+        np.divide(gz, sd, out=gz)
+        np.multiply(gz, np.multiply(g, -0.5), out=gz)
+        np.add(gz, gz, out=gz)                # z*z: one adjoint per factor
+        return [None, None] + _normal_lp_loc(np.divide(gz, sd, out=gz), s_shape, x, mu, need)
     s = x - mu
     z = np.divide(s, sd, out=np.empty(shape))
     gz = np.multiply(g, -0.5, out=np.empty(shape))
     np.multiply(gz, z, out=gz)
-    np.add(gz, gz, out=gz)                    # z*z: one adjoint per factor
-    d_log = d_quot = d_x = d_mu = None
+    np.add(gz, gz, out=gz)
+    d_log = _unbroadcast(np.negative(g, out=z), sd.shape) / sd
+    np.negative(gz, out=z)
+    np.multiply(z, s, out=z)
+    d_quot = _unbroadcast(np.divide(z, sd * sd, out=z), sd.shape)
+    if not (need[2] or need[3]):
+        return [d_log, d_quot, None, None]
+    return [d_log, d_quot] + _normal_lp_loc(np.divide(gz, sd, out=gz), s_shape, x, mu, need)
+
+
+def _normal_lp_loc(gs, s_shape, x, mu, need):
+    """Adjoints of x and mu from s = x - mu's, held in the full-size buffer
+    ``gs``: x's is gs summed down to x, mu's that of -gs.  A mu of s's shape
+    takes gs negated in place when x needs no adjoint; a smaller mu takes
+    the negated sum of gs (``_neg_unbroadcast``)."""
+    gs = _unbroadcast(gs, s_shape)
+    d_x = _unbroadcast(gs, x.shape) if need[2] else None
+    d_mu = None
+    if need[3]:
+        if mu.shape != gs.shape:
+            d_mu = _neg_unbroadcast(gs, mu.shape)
+        elif need[2] and x.shape == gs.shape:     # d_x is gs itself
+            d_mu = np.negative(gs)
+        else:
+            d_mu = np.negative(gs, out=gs)
+    return [d_x, d_mu]
+
+
+def _neg_unbroadcast(grad, shape):
+    """``_unbroadcast(-grad, shape)`` for a ``shape`` it sums down to, with
+    no full-size -grad.  Rounding is symmetric in sign, so every nonzero
+    finite sum of -grad is the negated sum of grad.  A zero sum's sign is
+    not (an exact cancellation gives +0.0 either way), nor is a NaN's, so
+    if any entry is zero or not finite, -grad is summed as before."""
+    d = -_unbroadcast(grad, shape)
+    if np.all(np.isfinite(d)) and np.all(d):
+        return d
+    return _unbroadcast(-grad, shape)
+
+
+def _located_draws_fwd(v, aux):
+    # [first; noise + mean] in the buffer that holds the noise in its rows
+    # after first's: the noise, viewed as its k-major blocks, takes mean in
+    # place, so the draws and their stack are one array.
+    buf, head, shape = aux
+    tail = (buf[head:] if head else buf).reshape(shape)
+    np.add(tail, v[0], out=tail)
+    if len(v) > 1:
+        buf[:head] = v[1]
+    return buf
+
+
+def _located_draws_bwd(g, v, out, aux, need):
+    # The reverse of add(mean, noise), its reshape to rows and the concat
+    # after first: first gets g's head rows, mean the rest summed down.
+    _, head, shape = aux
+    d_mean = None
     if need[0]:
-        d_log = _unbroadcast(np.negative(g, out=z), sd.shape) / sd
-        np.negative(gz, out=z)
-        np.multiply(z, s, out=z)
-        d_quot = _unbroadcast(np.divide(z, sd * sd, out=z), sd.shape)
-    if need[2] or need[3]:
-        gs = _unbroadcast(np.divide(gz, sd, out=gz), s.shape)
-        d_x = _unbroadcast(gs, x.shape) if need[2] else None
-        d_mu = _unbroadcast(-gs, mu.shape) if need[3] else None
-    return [d_log, d_quot, d_x, d_mu]
+        d_mean = _unbroadcast((g[head:] if head else g).reshape(shape), v[0].shape)
+    return [d_mean, g[:head]] if len(v) > 1 else [d_mean]
 
 
 def _blocks(arr, shift):
@@ -443,6 +514,9 @@ def _register_ops():
                          lambda g, v, out, aux, need: [
                              _unbroadcast(g * aux[1], v[0].shape) if need[0] else None,
                              _unbroadcast(g * aux[2], v[1].shape) if need[1] else None]))
+    # inputs (mean,) or (mean, first), aux (buf, head, shape): buf's rows
+    # after the head rows hold the noise, viewed as ``shape``.
+    _op("located_draws")((_located_draws_fwd, _located_draws_bwd))
     # inputs (sd, sd, x, mu): sd twice, for its log and its quotient terms.
     _op("normal_log_prob")((_normal_lp_fwd, _normal_lp_bwd))
     # inputs (a, w, shift), aux (rows, act): act(a @ w[rows] + shift), where
@@ -458,6 +532,40 @@ def _register_ops():
 
 
 _register_ops()
+
+# opcode -> what its backward hands over.  "fresh": every adjoint it returns
+# is an array it allocated, shared with nothing (not g, a value, its aux or
+# another adjoint).  "views": every adjoint is fresh or a view of its own
+# part of g, no two overlapping, so it is the pass's to write when g is.
+# Adjoints of an opcode not listed (add, sub, dense, gated_head) may alias g
+# or one another.
+_HANDS = dict.fromkeys(("mul", "div", "neg", "log", "exp", "sqrt", "abs", "softplus", "sigmoid",
+                        "lgamma", "sum", "logsumexp", "matvec", "matmul", "slice_rows",
+                        "gamma_sample", "normal_log_prob", "bernoulli_log_prob",
+                        "gamma_log_prob"), "fresh")
+_HANDS.update(dict.fromkeys(("concat", "reshape", "located_draws"), "views"))
+
+
+def _take_adjoint(grads, owned, i, c, hands, leaf):
+    """Give node i adjoint ``c``.  A first adjoint is kept as it is when the
+    backward handed it over (``hands``), copied for a leaf, and otherwise
+    held unwritten, since it may alias.  A later one is added in place into
+    a buffer the pass owns, else into a new sum, which the pass then owns."""
+    if i in grads:
+        a = grads[i]
+        if i in owned and a.shape == np.broadcast_shapes(a.shape, np.shape(c)):
+            np.add(a, c, out=a)
+        else:
+            grads[i] = np.add(a, c, out=np.empty(np.broadcast_shapes(np.shape(a), np.shape(c))))
+            owned.add(i)
+    elif hands and isinstance(c, np.ndarray):
+        grads[i] = c
+        owned.add(i)
+    elif leaf:
+        grads[i] = np.array(c, dtype=np.float64, copy=True)
+        owned.add(i)
+    else:
+        grads[i] = c
 
 
 class Tape:
@@ -665,6 +773,23 @@ class Tape:
         return self.record("gamma_sample", (self._lift(conc), self._lift(rate)),
                            aux=(sample, d_conc, d_rate))
 
+    def located_draws(self, mean, buf, shape, first=None) -> NodeId:
+        """[first; noise + mean], one node: a location family's draws,
+        stacked after ``first`` (left out when None) in one array.
+
+        ``buf`` holds the scaled noise, viewed as ``shape`` (k-major sample
+        blocks that mean broadcasts over), in its rows after first's; the
+        node adds mean to it and writes first there in place, so ``buf``
+        becomes the node's value.  Values and adjoints are those of
+        ``concat([first, reshape(add(mean, const(noise)))])``.
+        """
+        inputs = (self._lift(mean),)
+        head = 0
+        if first is not None:
+            inputs += (self._lift(first),)
+            head = np.shape(self.val(first))[0]
+        return self.record("located_draws", inputs, aux=(buf, head, tuple(shape)))
+
     # -- reverse pass ----------------------------------------------------------
 
     def backward(self, output: NodeId) -> dict[NodeId, np.ndarray]:
@@ -673,6 +798,12 @@ class Tape:
         Only nodes with the ``needs`` bit get an adjoint, and each non-leaf
         adjoint is dropped once its node's backward has run.  Deterministic:
         a second call on the same tape returns an identical map.
+
+        A node's later adjoints are added in place into a buffer the pass
+        owns: one a backward handed over (``_HANDS``), or the sum it made
+        from the first two.  The pass writes into nothing else, so never
+        into a tape value, an incoming adjoint another node still holds or
+        an array a caller passed in.
         """
         if not self.requires_grad:
             raise RuntimeError("tape was built with requires_grad=False")
@@ -686,6 +817,7 @@ class Tape:
         if not needs[output.index]:
             return leaves
         grads: dict[int, np.ndarray] = {output.index: np.ones_like(out_val)}
+        owned = {output.index}        # nodes whose adjoint is the pass's to write
         for idx in range(output.index, -1, -1):
             g = grads.pop(idx, None)
             if g is None:
@@ -694,18 +826,16 @@ class Tape:
             if not ins:
                 leaves[NodeId(idx)] = g
                 continue
+            op = self._ops[idx]
+            hands = _HANDS.get(op)
+            hands = hands == "fresh" or (hands == "views" and idx in owned)
             need = [needs[i] for i in ins]
-            contribs = _BACKWARD[self._ops[idx]](g, [self.values[i] for i in ins],
-                                                 self.values[idx], self._aux[idx], need)
+            contribs = _BACKWARD[op](g, [self.values[i] for i in ins],
+                                     self.values[idx], self._aux[idx], need)
             for i, n, c in zip(ins, need, contribs):
-                if not n:
-                    continue
-                if i in grads:
-                    grads[i] = grads[i] + c
-                elif self._inputs[i]:
-                    grads[i] = c      # never written in place, so it may alias
-                else:
-                    grads[i] = np.array(c, dtype=np.float64, copy=True)
+                if n:
+                    _take_adjoint(grads, owned, i, c, hands, not self._inputs[i])
+            contribs = c = None      # only ``grads`` holds adjoints into the next node
         return leaves
 
     def param_grads(self, grad_map: dict[NodeId, np.ndarray]) -> dict[str, np.ndarray]:

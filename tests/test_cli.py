@@ -62,6 +62,16 @@ class TestConfig:
             load_config(None, overrides={"experiment": "vae-train", "lr_anneal_factor": "0.5",
                                          "lr_anneal_period": "0"})
 
+    @pytest.mark.parametrize("key, raw", [("learning_rate", "nan"), ("learning_rate", "inf"),
+                                          ("learning_rate", "0"), ("learning_rate", "-1"),
+                                          ("lr_anneal_factor", "nan"),
+                                          ("lr_anneal_factor", "inf"),
+                                          ("lr_anneal_factor", "-1")])
+    def test_bad_learning_rate_is_config_error(self, key, raw):
+        # A NaN or negative rate used to pass and die inside the Gamma path.
+        with pytest.raises(ConfigError, match=key):
+            load_config(None, overrides={"experiment": "toy-laplace", key: raw})
+
     def test_k_at_epoch(self):
         cfg = ExperimentConfig(experiment="vae-train", k_schedule=[(0, 0), (10, 2), (25, 5)])
         assert [cfg.k_at_epoch(e) for e in (0, 9, 10, 24, 25, 99)] == [0, 0, 2, 2, 5, 5]
@@ -214,6 +224,22 @@ class TestCliSurface:
         assert run_cli(["vae-eval", "--config", str(p), "--out", str(out),
                         "--data-path", str(tmp_path / "missing")]) == 2
         assert "'SIVI_LIKES'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_one_snr_replicate_exits_before_any_work(self, tmp_path, capsys):
+        # Used to train tau for the whole run, then die in measure_snr.
+        out = tmp_path / "s.csv"
+        assert run_cli(["snr", "--replicates", "1", "--out", str(out)]) == 2
+        assert "replicates" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_nan_learning_rate_exits_before_any_work(self, tmp_path, capsys):
+        # toy-laplace used to die deep in the Gamma path on such a rate.
+        p = tmp_path / "c.cfg"
+        p.write_text("learning_rate = nan\n")
+        out = tmp_path / "t.csv"
+        assert run_cli(["toy-laplace", "--config", str(p), "--out", str(out)]) == 2
+        assert "learning_rate" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("key", ["input_dim", "beta1", "beta2"])

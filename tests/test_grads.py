@@ -1,6 +1,7 @@
 """Gradient estimators: autodiff vs oracles, the DReG surrogate, SNR harness."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -387,3 +388,27 @@ class TestMeasureSnr:
         lo = measure_snr(make_fn(1), 150, RngStream(41))
         hi = measure_snr(make_fn(64), 150, RngStream(43))
         assert hi.mean_snr < lo.mean_snr
+
+
+class TestSnrReplicateCosts:
+    """What one K = 64, B = 100 snr replicate holds at its peak."""
+
+    # MiB.  Each peak falls in a Normal density's backward: the tape keeps
+    # [psi_0; draws] once (0.5 MiB), the draws' adjoint is summed in one
+    # owned buffer and the density's backward works in one more.
+    PEAK_MIB = {"autodiff": 2.1, "dreg": 2.25, "iwae": 2.05}
+
+    @pytest.mark.parametrize("kind", ["autodiff", "dreg", "iwae"])
+    def test_k64_replicate_peak_memory(self, kind):
+        from hvi.experiments import snr_grad_fn
+        model, tau, _ = snr_setup(seed=0)
+        fn = snr_grad_fn(kind, flat_generative(), model, tau, 100, 64)
+        fn(RngStream(1))                                         # warm-up
+        tracemalloc.start()
+        try:
+            g = fn(RngStream(2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(np.all(np.isfinite(v)) for v in g.grads.values())
+        assert peak <= self.PEAK_MIB[kind] * 2**20, (kind, peak / 2**20)

@@ -157,8 +157,10 @@ class TestPruning:
         assert t.backward(t.sum(t.exp(t.const(np.zeros(2))))) == {}
 
     def test_snr_unit_tape_stays_small(self, monkeypatch):
-        # One node per Normal density: an snr unit at K = 8 records 38 nodes
-        # (70 with each density as a chain), and its backward holds leaves only.
+        # One node per Normal density, and one for [psi_0; draws]: an snr
+        # unit at K = 8 records 35 nodes (38 with the draws as noise, sum,
+        # reshape and concat; 70 with each density as a chain too), and its
+        # backward holds leaves only.
         seen = []
         real = Tape.backward
 
@@ -171,7 +173,7 @@ class TestPruning:
         model, tau, store = make_snr_task(ParamStore(), RngStream(0))
         snr_grad_fn("autodiff", flat_generative(), model, tau, 32, 8)(RngStream(1))
         ((t, gmap),) = seen
-        assert len(t) <= 40
+        assert len(t) <= 35
         assert len(gmap) == 2 and all(t._ops[k.index] == "leaf" for k in gmap)
 
 
@@ -366,3 +368,226 @@ class TestParamStore:
         assert float(t.val(y)) == 1.0
         with pytest.raises(RuntimeError):
             t.backward(y)
+
+
+# -- the lean reverse pass against the one it replaced -------------------------
+
+def _normal_lp_bwd_reference(g, v, out, aux, need):
+    # The Normal density's backward as it was: s, z, gz and -gs each a
+    # full-size array.
+    sd, _, x, mu = v
+    shape = np.broadcast_shapes(x.shape, mu.shape, sd.shape)
+    g = np.expand_dims(g.reshape(shape[:-1]), -1)
+    s = x - mu
+    z = np.divide(s, sd, out=np.empty(shape))
+    gz = np.multiply(g, -0.5, out=np.empty(shape))
+    np.multiply(gz, z, out=gz)
+    np.add(gz, gz, out=gz)
+    d_log = d_quot = d_x = d_mu = None
+    if need[0]:
+        d_log = tape_mod._unbroadcast(np.negative(g, out=z), sd.shape) / sd
+        np.negative(gz, out=z)
+        np.multiply(z, s, out=z)
+        d_quot = tape_mod._unbroadcast(np.divide(z, sd * sd, out=z), sd.shape)
+    if need[2] or need[3]:
+        gs = tape_mod._unbroadcast(np.divide(gz, sd, out=gz), s.shape)
+        d_x = tape_mod._unbroadcast(gs, x.shape) if need[2] else None
+        d_mu = tape_mod._unbroadcast(-gs, mu.shape) if need[3] else None
+    return [d_log, d_quot, d_x, d_mu]
+
+
+def _backward_reference(t, output):
+    # The reverse pass as it was: every later adjoint makes a fresh
+    # grads[i] + c, and a leaf's first adjoint is copied.
+    bwd = dict(tape_mod._BACKWARD, normal_log_prob=_normal_lp_bwd_reference)
+    leaves = {}
+    if not t._needs[output.index]:
+        return leaves
+    grads = {output.index: np.ones_like(t.values[output.index])}
+    for idx in range(output.index, -1, -1):
+        g = grads.pop(idx, None)
+        if g is None:
+            continue
+        ins = t._inputs[idx]
+        if not ins:
+            leaves[NodeId(idx)] = g
+            continue
+        need = [t._needs[i] for i in ins]
+        contribs = bwd[t._ops[idx]](g, [t.values[i] for i in ins], t.values[idx],
+                                    t._aux[idx], need)
+        for i, n, c in zip(ins, need, contribs):
+            if not n:
+                continue
+            if i in grads:
+                grads[i] = grads[i] + c
+            elif t._inputs[i]:
+                grads[i] = c
+            else:
+                grads[i] = np.array(c, dtype=np.float64, copy=True)
+    return leaves
+
+
+def _held_bytes(t):
+    """Bytes of every array the tape holds: values and aux arrays."""
+    def arrays(obj):
+        if isinstance(obj, np.ndarray):
+            yield obj
+        elif isinstance(obj, tuple):
+            for o in obj:
+                yield from arrays(o)
+    return [a.tobytes() for v, aux in zip(t.values, t._aux) for a in arrays((v, aux))]
+
+
+@pytest.fixture
+def checked_backward(monkeypatch):
+    """Every ``Tape.backward`` call also runs the reference pass and a second
+    lean pass, and checks leaf adjoints byte for byte and that no array the
+    tape holds was written.  Returns the leaf counts of the checked calls."""
+    lean = Tape.backward
+    calls = []
+
+    def backward(t, output):
+        held = _held_bytes(t)
+        ref = _backward_reference(t, output)
+        got = lean(t, output)
+        again = lean(t, output)
+        assert _held_bytes(t) == held
+        for gmap in (got, again):
+            assert list(gmap) == list(ref)
+            for k in ref:
+                assert gmap[k].shape == ref[k].shape
+                assert gmap[k].tobytes() == ref[k].tobytes(), t._ops[k.index]
+        calls.append(len(got))
+        return got
+
+    monkeypatch.setattr(Tape, "backward", backward)
+    return calls
+
+
+class TestLeanReversePass:
+    """Owned in-place adjoint sums and the one-buffer Normal backward keep
+    the bits of the pass they replaced and write into nothing they borrow."""
+
+    @pytest.mark.parametrize("kind", ["autodiff", "dreg", "iwae"])
+    def test_snr_estimators_at_k64(self, checked_backward, kind):
+        model, tau, _ = make_snr_task(ParamStore(), RngStream(0))
+        snr_grad_fn(kind, flat_generative(), model, tau, 100, 64)(RngStream(3))
+        assert checked_backward == [2]
+
+    def test_toy_laplace_step(self, checked_backward):
+        from hvi.bounds import upper_bound_U_joint
+        from hvi.models import make_gamma_mlp_tau, make_laplace_scale_mixture
+        store = ParamStore()
+        rng = RngStream(4)
+        tau = make_gamma_mlp_tau(50, (128, 128, 128), store, rng)
+        t = Tape()
+        est = upper_bound_U_joint(make_laplace_scale_mixture(50), tau, np.zeros((32, 0)), 10,
+                                  rng, t)
+        t.backward(est.node)
+        assert len(checked_backward) == 1 and checked_backward[0] >= len(store.names("tau."))
+
+    def test_vae_train_step_at_k2(self, checked_backward):
+        from hvi.bounds import BoundConfig, diwhvi_elbo
+        from hvi.models import make_mini_vae
+        vae = make_mini_vae(784, 8, 8, (64, 64), RngStream(0))
+        x = (np.random.default_rng(0).random((32, 784)) < 0.3).astype(float)
+        t = Tape()
+        est = diwhvi_elbo(vae.gen, vae.q, vae.tau, None, x, BoundConfig(M=1, K=2),
+                          RngStream(1), t)
+        t.backward(t.neg(est.node))
+        assert len(checked_backward) == 1 and checked_backward[0] >= len(vae.store.names())
+
+    @pytest.mark.parametrize("alias_first", [True, False])
+    def test_adjoints_through_views_and_aliases(self, checked_backward, alias_first):
+        # y takes four adjoints: a reshape view of an owned buffer, g itself
+        # from an add that hands the same array to w, and two fresh ones.
+        # The add is recorded last or first among y's readers, so the
+        # aliased adjoint arrives first or last.
+        gen = np.random.default_rng(5)
+        t = Tape()
+        x = t.leaf(gen.standard_normal((6, 4)))
+        y, w = t.mul(x, 1.5), t.exp(x)
+
+        def both():
+            return [t.sum(t.mul(t.add(y, w), gen.standard_normal((6, 4))))]
+
+        parts = [] if alias_first else both()
+        parts += [t.sum(t.mul(t.reshape(y, (24,)), gen.standard_normal(24))),
+                  t.sum(t.exp(y)), t.sum(t.mul(y, t.const(gen.standard_normal((6, 4))))),
+                  t.sum(t.mul(w, w))]
+        parts += both() if alias_first else []
+        out = parts[0]
+        for p in parts[1:]:
+            out = t.add(out, p)
+        t.backward(out)
+        assert checked_backward == [1]
+
+    @pytest.mark.parametrize("layout", ["reshape", "concat"])
+    def test_views_of_a_shared_adjoint_stay_unwritten(self, checked_backward, layout):
+        # An add hands one g to two layout nodes, which pass views of it on.
+        # Node a takes such a view first and a fresh adjoint (from exp)
+        # before the second layout node reads g: the sum must be new.
+        gen = np.random.default_rng(8)
+        t = Tape()
+        x = t.leaf(gen.standard_normal((6, 4)))
+        a, b = t.mul(x, 1.5), t.mul(x, -0.5)
+        if layout == "reshape":
+            second = t.reshape(b, (24,))
+            e = t.exp(a)
+            shared = t.add(t.reshape(a, (24,)), second)
+        else:
+            second = t.concat([b, a])
+            e = t.exp(a)
+            shared = t.add(t.concat([a, b]), second)
+        out = t.add(t.sum(t.mul(shared, gen.standard_normal(t.val(shared).shape))), t.sum(e))
+        t.backward(out)
+        assert checked_backward == [1]
+
+    @pytest.mark.parametrize("mu_rows", [1, 4])
+    @pytest.mark.parametrize("live", ["x", "mu", "sd", "x mu", "x sd", "mu sd", "x mu sd"])
+    def test_normal_density_for_each_live_side(self, checked_backward, live, mu_rows):
+        # Each side of the density a leaf or a constant, with mu of x's
+        # shape or one row broadcast over x's four.
+        gen = np.random.default_rng(7)
+        t = Tape()
+        sides = {"x": gen.standard_normal((4, 3)), "mu": gen.standard_normal((mu_rows, 3)),
+                 "sd": gen.uniform(0.5, 2.0, (4, 3))}
+        nodes = {k: t.leaf(v) if k in live.split() else v for k, v in sides.items()}
+        lp = t.normal_log_prob(nodes["x"], nodes["mu"], nodes["sd"])
+        t.backward(t.sum(t.mul(lp, gen.standard_normal(4))))
+        assert checked_backward == [len(live.split())]
+
+    def test_located_draws_match_their_chain(self):
+        # One node against concat([first, reshape(add(mean, const(noise)))]):
+        # the same values and the same adjoints for first and mean.
+        gen = np.random.default_rng(6)
+        first0, mean0 = gen.standard_normal((5, 3)), gen.standard_normal((5, 3))
+        noise = gen.standard_normal((4, 5, 3))
+        weights = gen.standard_normal((25, 3))
+        runs = []
+        for fused in (True, False):
+            t = Tape()
+            first, mean = t.leaf(first0), t.mul(t.leaf(mean0), 1.25)
+            if fused:
+                buf = np.empty((25, 3))
+                buf[5:] = noise.reshape(20, 3)
+                draws = t.located_draws(mean, buf, noise.shape, first)
+            else:
+                draws = t.concat([first, t.reshape(t.add(mean, t.const(noise)), (20, 3))])
+            gmap = t.backward(t.sum(t.mul(draws, weights)))
+            runs.append([t.val(draws).tobytes()] + [g.tobytes() for g in gmap.values()])
+        assert runs[0] == runs[1]
+
+    def test_negated_block_sum_keeps_the_sign_of_an_exact_cancellation(self):
+        # mu's adjoint sums -gs over blocks.  In column 0 the two blocks'
+        # terms cancel exactly, so the sum of -gs is +0.0, where the negated
+        # sum of gs would read -0.0.
+        sd = np.array(1.0)
+        x = np.array([[[1.0, 2.0]], [[-1.0, 0.5]]])       # (2, 1, 2) blocks
+        mu = np.zeros((1, 2))
+        g = np.ones(2)
+        need = [False, False, True, True]
+        got = tape_mod._normal_lp_bwd(g, [sd, sd, x, mu], None, None, need)
+        ref = _normal_lp_bwd_reference(g, [sd, sd, x, mu], None, None, need)
+        assert got[3][0, 0] == 0.0 and not np.signbit(got[3][0, 0])
+        assert [a.tobytes() for a in got[2:]] == [a.tobytes() for a in ref[2:]]
